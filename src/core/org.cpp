@@ -1,6 +1,7 @@
 #include "core/org.h"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_set>
 
 #include "core/perf.h"
@@ -10,6 +11,15 @@
 #include "obs/trace.h"
 
 namespace orderless::core {
+
+namespace {
+const std::vector<Checkpoint::CoveredTx> kNoCovered;
+
+bool CoveredBefore(const Checkpoint::CoveredTx& a,
+                   const Checkpoint::CoveredTx& b) {
+  return a.id.bytes < b.id.bytes;
+}
+}  // namespace
 
 /// Exposes the organization's cache to executing contracts.
 class Organization::LedgerReadContext final : public ReadContext {
@@ -150,6 +160,7 @@ bool Organization::RecoverFromLedger() {
   const bool consistent = ledger_.RecoverFromStore(base);
   catchup_stats_.recovered_records += ledger_.last_recovered_records();
   commit_index_.clear();
+  sealed_ckpt_ = nullptr;  // adoption skips ids of the own seal: none yet
   committed_count_ = 0;
   committed_xor_ = 0;
   ckpt_external_valid_ = 0;
@@ -193,6 +204,21 @@ bool Organization::RecoverFromLedger() {
   // derive the external count exactly instead of trusting the adoption sum.
   ckpt_external_valid_ = committed_count_ - ledger_.committed_valid();
   commits_at_last_seal_ = committed_count_;
+  // Re-derive the seal delta: everything the index holds beyond the restored
+  // own seal (replayed records and coverage adopted from other checkpoints).
+  // Storage was last pruned behind the seal, or with attestation behind the
+  // promoted one.
+  index_delta_.clear();
+  if (timing_.checkpoint.enabled) {
+    const auto& own = sealed_ckpt_ ? sealed_ckpt_->covered : kNoCovered;
+    for (const auto& [id, record] : commit_index_) {
+      const Checkpoint::CoveredTx entry{id, record.valid};
+      if (!std::binary_search(own.begin(), own.end(), entry, CoveredBefore)) {
+        index_delta_.push_back(entry);
+      }
+    }
+  }
+  pruned_ckpt_ = timing_.checkpoint.attest ? attested_ckpt_ : sealed_ckpt_;
   // Reload committed bodies so gossip pulls and anti-entropy syncs keep
   // working for transactions committed before the crash. Behind a sealed
   // frontier the bodies were pruned, so this reloads exactly the delta.
@@ -810,6 +836,7 @@ void Organization::FinishCommit(sim::NodeId from,
   const ledger::Block& block =
       ledger_.Commit(tx->id, valid, valid ? tx->ops : kNoOps);
   commit_index_[tx->id] = CommitRecord{valid, block.hash};
+  NoteIndexed(tx->id, valid);
   if (!valid) ++rejected_;
 
   phase_stats_.commit_count++;
@@ -990,15 +1017,18 @@ void Organization::SealCheckpoint() {
   ckpt->chain_head = ledger_.log().LastHash();
   ckpt->valid_count = committed_count_;
   ckpt->valid_xor = committed_xor_;
-  ckpt->covered.reserve(commit_index_.size());
-  for (const auto& [id, record] : commit_index_) {
-    ckpt->covered.push_back(Checkpoint::CoveredTx{id, record.valid});
-  }
-  // The commit index is an unordered map: sort so the digest is canonical.
-  std::sort(ckpt->covered.begin(), ckpt->covered.end(),
-            [](const Checkpoint::CoveredTx& a, const Checkpoint::CoveredTx& b) {
-              return a.id.bytes < b.id.bytes;
-            });
+  // The previous seal covered the whole commit index as it stood then and
+  // every entry since is in the delta, so merging the sorted delta into it
+  // yields the index sorted by id (canonical for the digest) without
+  // re-sorting the history. A first seal merges into nothing.
+  std::sort(index_delta_.begin(), index_delta_.end(), CoveredBefore);
+  const auto& before = sealed_ckpt_ ? sealed_ckpt_->covered : kNoCovered;
+  ckpt->covered.reserve(before.size() + index_delta_.size());
+  std::merge(before.begin(), before.end(), index_delta_.begin(),
+             index_delta_.end(), std::back_inserter(ckpt->covered),
+             CoveredBefore);
+  index_delta_.clear();
+  index_delta_.shrink_to_fit();  // a burst of adoptions must not pin memory
   ckpt->objects = ledger_.cache().SnapshotStates();
   ckpt->Seal(key_);
 
@@ -1033,27 +1063,53 @@ void Organization::SealCheckpoint() {
   // (what a sync reply ships alongside the checkpoint).
   committed_txs_.clear();
 
-  if (timing_.checkpoint.prune) {
-    std::vector<crypto::Digest> covered_ids;
-    covered_ids.reserve(ckpt->covered.size());
-    for (const auto& tx : ckpt->covered) covered_ids.push_back(tx.id);
-    const std::size_t pruned = ledger_.PruneBehindCheckpoint(
-        ckpt->chain_height, ckpt->chain_head, covered_ids);
-    catchup_stats_.pruned_records += pruned;
-    ledger_.store().CompactRange();
-    if (obs::Tracer* t = simulation_.tracer()) {
-      t->Instant(obs::EventKind::kCkptPrune, simulation_.now(), node_,
-                 ckpt->digest.Prefix64(), pruned);
-    }
+  if (timing_.checkpoint.prune) PruneBehind(ckpt);
+}
+
+void Organization::NoteIndexed(const crypto::Digest& id, bool valid) {
+  if (timing_.checkpoint.enabled) {
+    index_delta_.push_back(Checkpoint::CoveredTx{id, valid});
   }
 }
 
+void Organization::PruneBehind(std::shared_ptr<const Checkpoint> ckpt) {
+  // A covered id is never committed (so never persisted) again, so the body
+  // rows behind the previous pruned frontier are gone for good: hand the
+  // ledger only the ids this frontier adds. Both lists are own seals, sorted
+  // by id.
+  const auto& before = pruned_ckpt_ ? pruned_ckpt_->covered : kNoCovered;
+  std::vector<crypto::Digest> fresh;
+  auto prev = before.begin();
+  for (const Checkpoint::CoveredTx& tx : ckpt->covered) {
+    while (prev != before.end() && CoveredBefore(*prev, tx)) ++prev;
+    if (prev != before.end() && prev->id == tx.id) continue;
+    fresh.push_back(tx.id);
+  }
+  const std::size_t pruned = ledger_.PruneBehindCheckpoint(
+      ckpt->chain_height, ckpt->chain_head, fresh);
+  catchup_stats_.pruned_records += pruned;
+  ledger_.store().CompactRange();
+  if (obs::Tracer* t = simulation_.tracer()) {
+    t->Instant(obs::EventKind::kCkptPrune, simulation_.now(), node_,
+               ckpt->digest.Prefix64(), pruned);
+  }
+  pruned_ckpt_ = std::move(ckpt);
+}
+
 std::size_t Organization::AdoptCheckpointCoverage(const Checkpoint& ckpt) {
+  // The own last seal is a subset of the commit index, so an id equal to
+  // one of its entries is skipped without probing the index. A skip needs
+  // exact equality: unsorted or duplicated input only costs more probes.
+  const auto& own = sealed_ckpt_ ? sealed_ckpt_->covered : kNoCovered;
+  auto next = own.begin();
   std::size_t adopted_valid = 0;
   for (const Checkpoint::CoveredTx& covered : ckpt.covered) {
+    while (next != own.end() && CoveredBefore(*next, covered)) ++next;
+    if (next != own.end() && next->id == covered.id) continue;
     const auto [it, inserted] = commit_index_.emplace(
         covered.id, CommitRecord{covered.valid, crypto::Digest{}});
     if (!inserted) continue;
+    NoteIndexed(covered.id, covered.valid);
     ++catchup_stats_.ckpt_txs_covered;
     pending_pulls_.erase(covered.id);
     if (covered.valid) {
@@ -1278,21 +1334,7 @@ void Organization::PromoteAttestedCheckpoint() {
       return covered.contains(tx->id);
     });
   }
-  if (timing_.checkpoint.prune) {
-    std::vector<crypto::Digest> covered_ids;
-    covered_ids.reserve(attested_ckpt_->covered.size());
-    for (const auto& tx : attested_ckpt_->covered) {
-      covered_ids.push_back(tx.id);
-    }
-    const std::size_t pruned = ledger_.PruneBehindCheckpoint(
-        attested_ckpt_->chain_height, attested_ckpt_->chain_head, covered_ids);
-    catchup_stats_.pruned_records += pruned;
-    ledger_.store().CompactRange();
-    if (obs::Tracer* t = simulation_.tracer()) {
-      t->Instant(obs::EventKind::kCkptPrune, simulation_.now(), node_,
-                 attested_ckpt_->digest.Prefix64(), pruned);
-    }
-  }
+  if (timing_.checkpoint.prune) PruneBehind(attested_ckpt_);
 }
 
 std::shared_ptr<const Checkpoint> Organization::MakeForgedCheckpoint(

@@ -307,6 +307,9 @@ class Organization {
   }
 
  private:
+  // checkpoint_test drives seals and installs at chosen instants and checks
+  // them against references it computes from the commit index.
+  friend class OrganizationTestPeer;
   class LedgerReadContext;
 
   void OnDelivery(const sim::Delivery& delivery);
@@ -378,6 +381,11 @@ class Organization {
   /// Digest of the best checkpoint already held (zero when none) — what a
   /// SyncRequest advertises so the responder can skip re-shipping it.
   crypto::Digest BestCheckpointDigest() const;
+  /// Appends a new commit-index entry to the seal delta (checkpoints on).
+  void NoteIndexed(const crypto::Digest& id, bool valid);
+  /// Reclaims storage behind an own checkpoint (at seal, or at promotion
+  /// with attestation) and makes it the new pruned frontier.
+  void PruneBehind(std::shared_ptr<const Checkpoint> ckpt);
 
   sim::Simulation& simulation_;
   sim::Network& network_;
@@ -468,6 +476,16 @@ class Organization {
   std::shared_ptr<const Checkpoint> installed_ckpt_;
   std::uint64_t ckpt_seq_ = 0;
   std::uint64_t commits_at_last_seal_ = 0;
+  // Commit-index entries added since the last seal, kept only with
+  // checkpoints enabled. The previous seal covered the whole index as it
+  // stood then, so the next covered list is that list merged with this
+  // delta, sorted: O(delta log delta + history) memory traffic instead of
+  // a sort of the whole index. Recovery re-derives it as the index minus
+  // the restored seal's coverage.
+  std::vector<Checkpoint::CoveredTx> index_delta_;
+  // The own checkpoint storage was last pruned behind (null before the
+  // first prune). Bodies of the ids it covers are already gone.
+  std::shared_ptr<const Checkpoint> pruned_ckpt_;
   bool seal_in_flight_ = false;
   // Quorum-attestation state (meaningful only with checkpoint.attest).
   // `seal_attest_` collects signatures over the *current* seal's digest — a

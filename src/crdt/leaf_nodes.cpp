@@ -11,33 +11,115 @@ bool AtLeaf(const Operation& op, std::size_t depth) {
   return depth == op.path.size();
 }
 
-// Contributions live in a hash set for O(1) dedup on the apply path; the
-// canonical encoding sorts a copy so the bytes match the ordered layout the
-// format has always used.
-template <typename Contributions>
-void EncodeContributions(const Contributions& contributions,
-                         codec::Writer& w) {
-  std::vector<std::pair<OpId, std::int64_t>> sorted(contributions.begin(),
-                                                    contributions.end());
-  std::sort(sorted.begin(), sorted.end());
-  w.PutVarint(sorted.size());
-  for (const auto& [id, amount] : sorted) {
-    w.PutVarint(id.client);
-    w.PutVarint(id.counter);
-    w.PutU32(id.seq);
-    w.PutI64(amount);
-  }
+// Counter totals wrap instead of overflowing: honest amounts never get near
+// the limit, and a forged state must not be undefined behaviour.
+std::int64_t WrappingAdd(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+
+// Smallest encoded entry: 1-byte varints for client, counter and amount plus
+// the fixed 4-byte seq. Bounds the up-front reservation of a forged count.
+constexpr std::size_t kMinEntryBytes = 7;
+
+void PutEntry(codec::Writer& w, const ContributionSet::Entry& e) {
+  w.PutVarint(e.first.client);
+  w.PutVarint(e.first.counter);
+  w.PutU32(e.first.seq);
+  w.PutI64(e.second);
 }
 }  // namespace
+
+// ---------------------------------------------------------- ContributionSet
+
+void ContributionSet::Insert(const Entry& e) {
+  if (std::binary_search(run_.begin(), run_.end(), e)) return;
+  if (tail_.insert(e).second) total_ = WrappingAdd(total_, e.second);
+}
+
+void ContributionSet::Fold() const {
+  if (tail_.empty()) return;
+  std::vector<Entry> fresh(tail_.begin(), tail_.end());
+  std::sort(fresh.begin(), fresh.end());
+  // Release the buckets too: the next interval's tail starts small again.
+  std::unordered_set<Entry, ContributionHash>().swap(tail_);
+  MergeIntoRun(fresh);
+}
+
+void ContributionSet::MergeIntoRun(const std::vector<Entry>& fresh) const {
+  // In place, from the back, so no entry is overwritten before it is read.
+  // Capacity at least doubles: a run regrown in small steps leaves a trail
+  // of freed blocks behind and measured more peak memory than the slack.
+  const std::size_t old_size = run_.size();
+  const std::size_t need = old_size + fresh.size();
+  if (run_.capacity() < need) {
+    run_.reserve(std::max(need, 2 * run_.capacity()));
+  }
+  run_.resize(need);
+  auto out = run_.end();
+  auto mine = run_.begin() + static_cast<std::ptrdiff_t>(old_size);
+  auto theirs = fresh.end();
+  while (theirs != fresh.begin()) {
+    if (mine != run_.begin() && *(theirs - 1) < *(mine - 1)) {
+      *--out = *--mine;
+    } else {
+      *--out = *--theirs;
+    }
+  }
+}
+
+void ContributionSet::Encode(codec::Writer& w) const {
+  Fold();
+  w.PutVarint(run_.size());
+  for (const Entry& e : run_) PutEntry(w, e);
+}
+
+std::optional<ContributionSet> ContributionSet::Decode(codec::Reader& r,
+                                                       bool positive_only) {
+  const auto n = r.GetVarint();
+  if (!n) return std::nullopt;
+  ContributionSet set;
+  set.run_.reserve(
+      std::min<std::uint64_t>(*n, r.remaining() / kMinEntryBytes));
+  for (std::uint64_t i = 0; i < *n; ++i) {
+    const auto client = r.GetVarint();
+    const auto counter = r.GetVarint();
+    const auto seq = r.GetU32();
+    const auto amount = r.GetI64();
+    if (!client || !counter || !seq || !amount) return std::nullopt;
+    if (positive_only && *amount <= 0) return std::nullopt;
+    const Entry e{OpId{*client, *counter, *seq}, *amount};
+    if (!set.run_.empty() && !(set.run_.back() < e)) return std::nullopt;
+    set.total_ = WrappingAdd(set.total_, e.second);
+    set.run_.push_back(e);
+  }
+  return set;
+}
+
+void ContributionSet::MergeFrom(const ContributionSet& other) {
+  if (&other == this) return;
+  Fold();
+  other.Fold();
+  // Both runs are sorted: walk them side by side, skipping every entry the
+  // target already holds.
+  std::vector<Entry> fresh;
+  auto mine = run_.begin();
+  for (const Entry& e : other.run_) {
+    while (mine != run_.end() && *mine < e) ++mine;
+    if (mine != run_.end() && *mine == e) continue;
+    fresh.push_back(e);
+  }
+  if (fresh.empty()) return;
+  for (const Entry& e : fresh) total_ = WrappingAdd(total_, e.second);
+  MergeIntoRun(fresh);  // a subsequence of a sorted run
+}
 
 // ---------------------------------------------------------------- G-Counter
 
 bool GCounterNode::Apply(const Operation& op, std::size_t depth) {
   if (!AtLeaf(op, depth) || op.kind != OpKind::kAddValue) return false;
   if (!op.value.IsInt() || op.value.AsInt() <= 0) return false;  // grow-only
-  const auto [it, inserted] =
-      contributions_.emplace(op.id(), op.value.AsInt());
-  if (inserted) total_ += op.value.AsInt();
+  contributions_.Insert({op.id(), op.value.AsInt()});
   return true;
 }
 
@@ -47,45 +129,31 @@ ReadResult GCounterNode::ReadAt(const std::vector<std::string>& path,
   if (depth != path.size()) return r;
   r.type = CrdtType::kGCounter;
   r.exists = true;
-  r.counter = total_;
+  r.counter = contributions_.total();
   return r;
 }
 
 void GCounterNode::Encode(codec::Writer& w) const {
-  EncodeContributions(contributions_, w);
+  contributions_.Encode(w);
 }
 
 std::unique_ptr<GCounterNode> GCounterNode::Decode(codec::Reader& r) {
-  const auto n = r.GetVarint();
-  if (!n) return nullptr;
+  auto contributions = ContributionSet::Decode(r, /*positive_only=*/true);
+  if (!contributions) return nullptr;
   auto node = std::make_unique<GCounterNode>();
-  for (std::uint64_t i = 0; i < *n; ++i) {
-    const auto client = r.GetVarint();
-    const auto counter = r.GetVarint();
-    const auto seq = r.GetU32();
-    const auto amount = r.GetI64();
-    if (!client || !counter || !seq || !amount) return nullptr;
-    node->contributions_.emplace(OpId{*client, *counter, *seq}, *amount);
-    node->total_ += *amount;
-  }
+  node->contributions_ = std::move(*contributions);
   return node;
 }
 
 std::unique_ptr<CrdtNode> GCounterNode::Clone() const {
   auto node = std::make_unique<GCounterNode>();
   node->contributions_ = contributions_;
-  node->total_ = total_;
   return node;
 }
 
 void GCounterNode::MergeFrom(const CrdtNode& other) {
   const auto* o = dynamic_cast<const GCounterNode*>(&other);
-  if (o == nullptr) return;
-  for (const auto& contribution : o->contributions_) {
-    if (contributions_.insert(contribution).second) {
-      total_ += contribution.second;
-    }
-  }
+  if (o != nullptr) contributions_.MergeFrom(o->contributions_);
 }
 
 // --------------------------------------------------------------- PN-Counter
@@ -93,9 +161,7 @@ void GCounterNode::MergeFrom(const CrdtNode& other) {
 bool PNCounterNode::Apply(const Operation& op, std::size_t depth) {
   if (!AtLeaf(op, depth) || op.kind != OpKind::kAddValue) return false;
   if (!op.value.IsInt()) return false;
-  const auto [it, inserted] =
-      contributions_.emplace(op.id(), op.value.AsInt());
-  if (inserted) total_ += op.value.AsInt();
+  contributions_.Insert({op.id(), op.value.AsInt()});
   return true;
 }
 
@@ -105,45 +171,31 @@ ReadResult PNCounterNode::ReadAt(const std::vector<std::string>& path,
   if (depth != path.size()) return r;
   r.type = CrdtType::kPNCounter;
   r.exists = true;
-  r.counter = total_;
+  r.counter = contributions_.total();
   return r;
 }
 
 void PNCounterNode::Encode(codec::Writer& w) const {
-  EncodeContributions(contributions_, w);
+  contributions_.Encode(w);
 }
 
 std::unique_ptr<PNCounterNode> PNCounterNode::Decode(codec::Reader& r) {
-  const auto n = r.GetVarint();
-  if (!n) return nullptr;
+  auto contributions = ContributionSet::Decode(r, /*positive_only=*/false);
+  if (!contributions) return nullptr;
   auto node = std::make_unique<PNCounterNode>();
-  for (std::uint64_t i = 0; i < *n; ++i) {
-    const auto client = r.GetVarint();
-    const auto counter = r.GetVarint();
-    const auto seq = r.GetU32();
-    const auto amount = r.GetI64();
-    if (!client || !counter || !seq || !amount) return nullptr;
-    node->contributions_.emplace(OpId{*client, *counter, *seq}, *amount);
-    node->total_ += *amount;
-  }
+  node->contributions_ = std::move(*contributions);
   return node;
 }
 
 std::unique_ptr<CrdtNode> PNCounterNode::Clone() const {
   auto node = std::make_unique<PNCounterNode>();
   node->contributions_ = contributions_;
-  node->total_ = total_;
   return node;
 }
 
 void PNCounterNode::MergeFrom(const CrdtNode& other) {
   const auto* o = dynamic_cast<const PNCounterNode*>(&other);
-  if (o == nullptr) return;
-  for (const auto& contribution : o->contributions_) {
-    if (contributions_.insert(contribution).second) {
-      total_ += contribution.second;
-    }
-  }
+  if (o != nullptr) contributions_.MergeFrom(o->contributions_);
 }
 
 // -------------------------------------------------------------- MV-Register

@@ -3,18 +3,19 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "clock/logical_clock.h"
 #include "crdt/node.h"
 
 namespace orderless::crdt {
 
-/// Hash for counter contributions. The containers using it are membership
-/// indices on the apply path; Encode() sorts a copy so the canonical state
-/// bytes never depend on hash layout.
+/// Hash for counter contributions in the unsorted tail of a
+/// ContributionSet (a membership index; Encode never iterates it unsorted).
 struct ContributionHash {
   std::size_t operator()(
       const std::pair<OpId, std::int64_t>& c) const noexcept {
@@ -28,9 +29,49 @@ struct ContributionHash {
   }
 };
 
+/// A counter's contributions: each (op id, amount) pair counts once, so
+/// replays dedup and Byzantine op-id reuse still converges.
+///
+/// Layout: a sorted flat run plus an unsorted tail. Apply-path inserts land
+/// in the tail, a hash set, exactly as cheap as a plain hash set. Encode and
+/// MergeFrom first fold the tail into the run (sort the tail, merge in
+/// place), so a counter that is sealed every interval keeps only that
+/// interval's inserts in the tail and everything else at 32 bytes per entry
+/// in the run. Encode then writes the run in one linear pass, Decode reads
+/// the canonical (strictly increasing) stream straight into the run, and
+/// MergeFrom walks two runs side by side, adding only what the target
+/// lacks. Folding never changes the set, so it is allowed on const objects.
+class ContributionSet {
+ public:
+  using Entry = std::pair<OpId, std::int64_t>;
+
+  /// Adds `e` unless already present.
+  void Insert(const Entry& e);
+  std::int64_t total() const { return total_; }
+  std::size_t size() const { return run_.size() + tail_.size(); }
+
+  /// Canonical encoding: count, then the entries in increasing order.
+  void Encode(codec::Writer& w) const;
+  /// Accepts only canonical encodings: entries strictly increasing (so no
+  /// duplicates) and, with `positive_only`, every amount > 0. Anything else
+  /// is a forgery or corruption, never an honest state.
+  static std::optional<ContributionSet> Decode(codec::Reader& r,
+                                               bool positive_only);
+  /// Set union; the total grows by exactly the entries that were new.
+  void MergeFrom(const ContributionSet& other);
+
+ private:
+  /// Moves the tail into the run.
+  void Fold() const;
+  /// Merges `fresh` (sorted, and absent from the set) into the run.
+  void MergeIntoRun(const std::vector<Entry>& fresh) const;
+
+  mutable std::vector<Entry> run_;  // strictly increasing
+  mutable std::unordered_set<Entry, ContributionHash> tail_;
+  std::int64_t total_ = 0;
+};
+
 /// Grow-only counter: value = sum of all (positive) AddValue contributions.
-/// Contributions are keyed by (op id, amount) so replays dedup and Byzantine
-/// op-id reuse still converges.
 class GCounterNode final : public CrdtNode {
  public:
   CrdtType type() const override { return CrdtType::kGCounter; }
@@ -42,14 +83,12 @@ class GCounterNode final : public CrdtNode {
   void MergeFrom(const CrdtNode& other) override;
   std::size_t OpCount() const override { return contributions_.size(); }
 
-  std::int64_t Total() const { return total_; }
+  std::int64_t Total() const { return contributions_.total(); }
 
   static std::unique_ptr<GCounterNode> Decode(codec::Reader& r);
 
  private:
-  std::unordered_set<std::pair<OpId, std::int64_t>, ContributionHash>
-      contributions_;
-  std::int64_t total_ = 0;
+  ContributionSet contributions_;
 };
 
 /// PN-Counter extension: increments and decrements.
@@ -64,14 +103,12 @@ class PNCounterNode final : public CrdtNode {
   void MergeFrom(const CrdtNode& other) override;
   std::size_t OpCount() const override { return contributions_.size(); }
 
-  std::int64_t Total() const { return total_; }
+  std::int64_t Total() const { return contributions_.total(); }
 
   static std::unique_ptr<PNCounterNode> Decode(codec::Reader& r);
 
  private:
-  std::unordered_set<std::pair<OpId, std::int64_t>, ContributionHash>
-      contributions_;
-  std::int64_t total_ = 0;
+  ContributionSet contributions_;
 };
 
 /// Multi-value register: keeps the maximal antichain of assignments under

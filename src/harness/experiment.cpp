@@ -142,6 +142,8 @@ class Driver {
   virtual RobustnessStats Robustness() const { return {}; }
   /// Zero-copy commit rows (shared sealed encodings); OrderlessChain only.
   virtual std::size_t BodyRefRows() const { return 0; }
+  /// Hash-chain head per organization; OrderlessChain only.
+  virtual std::vector<crypto::Digest> ChainHeads() const { return {}; }
   /// Commit-pipeline hub traffic (OrderlessChain parallel runs only).
   virtual obs::PipelineSnapshot Pipeline() const { return {}; }
   /// Event lane of `client`'s simulated node; lane 0 (the sequential
@@ -314,6 +316,15 @@ class OrderlessDriver final : public Driver {
   }
 
   std::size_t BodyRefRows() const override { return net_->BodyRefRows(); }
+
+  std::vector<crypto::Digest> ChainHeads() const override {
+    std::vector<crypto::Digest> heads;
+    auto& net = const_cast<OrderlessNet&>(*net_);
+    for (std::size_t i = 0; i < net.org_count(); ++i) {
+      heads.push_back(net.org(i).ledger().log().LastHash());
+    }
+    return heads;
+  }
 
   obs::PipelineSnapshot Pipeline() const override {
     obs::PipelineSnapshot snap;
@@ -643,6 +654,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   result.events_processed = simulation.events_processed();
   result.arena_high_water = simulation.arena_high_water();
   result.body_ref_rows = driver->BodyRefRows();
+  result.org_chain_heads = driver->ChainHeads();
   return result;
 }
 

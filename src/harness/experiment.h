@@ -135,6 +135,9 @@ struct ExperimentResult {
   /// KV rows sharing the committing transaction's sealed encoding instead of
   /// owning a copy (zero-copy commit path; OrderlessChain only).
   std::size_t body_ref_rows = 0;
+  /// Each organization's hash-chain head at the end of the run: its exact
+  /// commit sequence (OrderlessChain only).
+  std::vector<crypto::Digest> org_chain_heads;
 };
 
 ExperimentResult RunExperiment(const ExperimentConfig& config);

@@ -14,6 +14,12 @@ void LatencyRecorder::EnsureSorted() const {
   }
 }
 
+sim::SimTime LatencyRecorder::SumUs() const {
+  sim::SimTime sum = 0;
+  for (sim::SimTime t : samples_) sum += t;
+  return sum;
+}
+
 double LatencyRecorder::AverageMs() const {
   if (samples_.empty()) return 0.0;
   // Sum in sorted order: floating-point addition is order-sensitive in the

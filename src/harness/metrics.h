@@ -25,6 +25,8 @@ class LatencyRecorder {
     sorted_ = false;  // percentiles may have sorted an earlier prefix
   }
   std::size_t count() const { return samples_.size(); }
+  /// Exact sum of the samples (µs).
+  sim::SimTime SumUs() const;
   double AverageMs() const;
   /// p in [0, 100]; nearest-rank percentile.
   double PercentileMs(double p) const;

@@ -222,17 +222,25 @@ std::size_t Ledger::PruneBehindCheckpoint(
     doomed.emplace_back(key);
     return true;
   });
-  const std::size_t rows_before_bodies = doomed.size();
+  // Covered bodies: one in-order pass over the body rows still stored (none
+  // behind an earlier pruned frontier) instead of a lookup per id.
+  std::vector<std::string> covered_keys;
+  covered_keys.reserve(covered_ids.size());
   for (const crypto::Digest& id : covered_ids) {
-    doomed.push_back(BodyKey(id));
+    covered_keys.push_back(BodyKey(id));
   }
-  std::size_t pruned = rows_before_bodies;
-  for (std::size_t i = rows_before_bodies; i < doomed.size(); ++i) {
-    if (store_->Get(doomed[i]).has_value()) ++pruned;
-  }
+  std::sort(covered_keys.begin(), covered_keys.end());
+  store_->ScanPrefix(
+      "body/", [&doomed, &covered_keys](std::string_view key, BytesView) {
+        if (std::binary_search(covered_keys.begin(), covered_keys.end(),
+                               key)) {
+          doomed.emplace_back(key);
+        }
+        return true;
+      });
   for (const std::string& key : doomed) store_->Delete(key);
   log_.PruneBelow(chain_height, chain_head);
-  return pruned;
+  return doomed.size();
 }
 
 void Ledger::RebuildCacheFromStore() {

@@ -103,7 +103,9 @@ class Ledger {
   /// records below `chain_height`, the persisted bodies of `covered_ids`,
   /// and every persisted operation (the snapshot the caller just sealed
   /// supersedes them), then prunes the in-memory hash chain to the boundary.
-  /// Returns the number of rows deleted.
+  /// Returns the number of rows deleted. Callers pass only the ids the
+  /// frontier newly covers: bodies behind an earlier frontier are already
+  /// gone, so the work stays proportional to the delta.
   std::size_t PruneBehindCheckpoint(
       std::uint64_t chain_height, const crypto::Digest& chain_head,
       const std::vector<crypto::Digest>& covered_ids);

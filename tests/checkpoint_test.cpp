@@ -13,15 +13,51 @@
 //     the same scenarios.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <tuple>
+
 #include "chaos/runner.h"
 #include "chaos/scenario.h"
+#include "common/rng.h"
 #include "contracts/auction.h"
+#include "contracts/synthetic.h"
 #include "contracts/voting.h"
 #include "core/checkpoint.h"
+#include "harness/experiment.h"
 #include "harness/orderless_net.h"
 #include "ledger/ledger.h"
 
 namespace orderless {
+namespace core {
+
+/// Reaches an organization's private checkpoint steps and commit index, so
+/// the equivalence test below can seal and install at instants it chooses
+/// and compare each outcome with a reference recomputed over the whole history.
+class OrganizationTestPeer {
+ public:
+  static void Seal(Organization& org) { org.SealCheckpoint(); }
+  static void Install(Organization& org,
+                      std::shared_ptr<const Checkpoint> ckpt) {
+    org.InstallCheckpoint(std::move(ckpt), AttestationSet{});
+  }
+  /// The commit index, in no particular order.
+  static std::vector<Checkpoint::CoveredTx> Index(const Organization& org) {
+    std::vector<Checkpoint::CoveredTx> index;
+    for (const auto& [id, record] : org.commit_index_) {
+      index.push_back(Checkpoint::CoveredTx{id, record.valid});
+    }
+    return index;
+  }
+  /// (valid count, valid xor) accumulators the summaries advertise.
+  static std::pair<std::uint64_t, std::uint64_t> Accumulators(
+      const Organization& org) {
+    return {org.committed_count_, org.committed_xor_};
+  }
+};
+
+}  // namespace core
+
 namespace {
 
 using core::Checkpoint;
@@ -648,6 +684,466 @@ TEST(CheckpointCatchup, PrunedLedgerRestartIsCheckpointSeeded) {
         contracts::VotingContract::PartyObject("e", p)))
         << "party " << p;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Incremental seal / install / prune against whole-history references. Seals
+// merge a delta into the previous covered list, installs skip what the own
+// seal already holds and merge counter runs side by side, and prunes touch
+// only the newly covered bodies. Each shortcut must be invisible: after any
+// interleaving of commits, partitions, seals, installs from several origins,
+// a crash/restart and a forged install, every outcome equals what the
+// whole-history computation below produces.
+
+using core::OrganizationTestPeer;
+using CounterEntry =
+    std::tuple<std::uint64_t, std::uint64_t, std::uint32_t, std::int64_t>;
+
+struct CounterState {
+  crdt::CrdtType type = crdt::CrdtType::kNone;
+  std::set<CounterEntry> entries;
+};
+
+/// Reference counter decoder: canonical states only (entries strictly
+/// increasing, G-Counter amounts positive), anything else is rejected.
+std::optional<CounterState> ParseCounter(const Bytes& state) {
+  codec::Reader r{BytesView(state)};
+  const auto tag = r.GetU8();
+  if (!tag || (*tag != static_cast<std::uint8_t>(crdt::CrdtType::kGCounter) &&
+               *tag != static_cast<std::uint8_t>(crdt::CrdtType::kPNCounter))) {
+    return std::nullopt;
+  }
+  CounterState out;
+  out.type = static_cast<crdt::CrdtType>(*tag);
+  const auto n = r.GetVarint();
+  if (!n) return std::nullopt;
+  std::optional<CounterEntry> last;
+  for (std::uint64_t i = 0; i < *n; ++i) {
+    const auto client = r.GetVarint();
+    const auto counter = r.GetVarint();
+    const auto seq = r.GetU32();
+    const auto amount = r.GetI64();
+    if (!client || !counter || !seq || !amount) return std::nullopt;
+    if (out.type == crdt::CrdtType::kGCounter && *amount <= 0) {
+      return std::nullopt;
+    }
+    const CounterEntry e{*client, *counter, *seq, *amount};
+    if (last && !(*last < e)) return std::nullopt;
+    last = e;
+    out.entries.insert(e);
+  }
+  return out;
+}
+
+Bytes EncodeCounter(const CounterState& c) {
+  codec::Writer w;
+  w.PutU8(static_cast<std::uint8_t>(c.type));
+  w.PutVarint(c.entries.size());
+  for (const auto& [client, counter, seq, amount] : c.entries) {
+    w.PutVarint(client);
+    w.PutVarint(counter);
+    w.PutU32(seq);
+    w.PutI64(amount);
+  }
+  return w.Take();
+}
+
+std::int64_t CounterSum(const CounterState& c) {
+  std::int64_t sum = 0;
+  for (const CounterEntry& e : c.entries) sum += std::get<3>(e);
+  return sum;
+}
+
+bool ById(const Checkpoint::CoveredTx& a, const Checkpoint::CoveredTx& b) {
+  return a.id.bytes < b.id.bytes;
+}
+
+/// Body rows still stored for ids in `covered`.
+std::size_t CoveredBodyRows(ledger::KvStore& store,
+                            const std::vector<Checkpoint::CoveredTx>& covered) {
+  std::set<std::array<std::uint8_t, 32>> ids;
+  for (const auto& tx : covered) ids.insert(tx.id.bytes);
+  std::size_t rows = 0;
+  store.ScanPrefix("body/", [&](std::string_view key, BytesView) {
+    if (ids.contains(crypto::Digest::FromHexOrZero(key.substr(5)).bytes)) {
+      ++rows;
+    }
+    return true;
+  });
+  return rows;
+}
+
+/// Rows a whole-history prune behind a frontier at `chain_height` covering
+/// `covered` deletes: commit records below it, every op row, and the body
+/// of every covered id that still has one.
+std::size_t ReferencePruneCount(ledger::KvStore& store,
+                                std::uint64_t chain_height,
+                                const std::vector<Checkpoint::CoveredTx>& covered) {
+  std::size_t rows = 0;
+  store.ScanPrefix("tx/", [&](std::string_view, BytesView value) {
+    codec::Reader r(value);
+    const auto height = r.GetU64();
+    if (height && *height < chain_height) ++rows;
+    return true;
+  });
+  store.ScanPrefix("op/", [&](std::string_view, BytesView) {
+    ++rows;
+    return true;
+  });
+  return rows + CoveredBodyRows(store, covered);
+}
+
+/// Seals `org` now and checks the seal against the sorted commit index, and
+/// (without attestation, where the prune runs inside the seal) the pruned
+/// row count against ReferencePruneCount.
+void CheckSeal(core::Organization& org, bool attest) {
+  auto reference = OrganizationTestPeer::Index(org);
+  std::sort(reference.begin(), reference.end(), ById);
+  const std::uint64_t chain_height = org.ledger().log().total_appended();
+  const std::size_t expected_pruned = ReferencePruneCount(
+      org.mutable_ledger().store(), chain_height, reference);
+  const std::uint64_t pruned_before = org.catchup_stats().pruned_records;
+
+  OrganizationTestPeer::Seal(org);
+  const auto& sealed = org.sealed_checkpoint();
+  ASSERT_NE(sealed, nullptr);
+
+  ASSERT_EQ(sealed->covered.size(), reference.size());
+  for (std::size_t k = 0; k < reference.size(); ++k) {
+    ASSERT_EQ(sealed->covered[k].id, reference[k].id) << k;
+    ASSERT_EQ(sealed->covered[k].valid, reference[k].valid) << k;
+  }
+  std::uint64_t count = 0;
+  std::uint64_t xr = 0;
+  for (const auto& tx : reference) {
+    if (tx.valid) {
+      ++count;
+      xr ^= tx.id.Prefix64();
+    }
+  }
+  EXPECT_EQ(sealed->valid_count, count);
+  EXPECT_EQ(sealed->valid_xor, xr);
+  Checkpoint rebuilt = *sealed;
+  rebuilt.covered = reference;
+  rebuilt.objects = org.ledger().cache().SnapshotStates();
+  rebuilt.valid_count = count;
+  rebuilt.valid_xor = xr;
+  EXPECT_EQ(rebuilt.ComputeDigest(), sealed->digest);
+  if (!attest) {
+    EXPECT_EQ(org.catchup_stats().pruned_records - pruned_before,
+              expected_pruned);
+  }
+}
+
+/// Installs `ckpt` into `org` and checks coverage adoption, accumulators and
+/// every merged object state against a join recomputed in full.
+void CheckInstall(core::Organization& org,
+                  const std::shared_ptr<const Checkpoint>& ckpt,
+                  std::uint64_t& adopted_total) {
+  std::map<std::array<std::uint8_t, 32>, bool> index;
+  for (const auto& tx : OrganizationTestPeer::Index(org)) {
+    index.emplace(tx.id.bytes, tx.valid);
+  }
+  // Adoption: the first occurrence of every id the index lacks.
+  std::uint64_t adopted = 0;
+  std::uint64_t adopted_valid = 0;
+  std::uint64_t adopted_xor = 0;
+  for (const auto& tx : ckpt->covered) {
+    if (!index.emplace(tx.id.bytes, tx.valid).second) continue;
+    ++adopted;
+    if (tx.valid) {
+      ++adopted_valid;
+      adopted_xor ^= tx.id.Prefix64();
+    }
+  }
+  // State: join each canonical snapshot into the current state, in order.
+  std::map<std::string, Bytes> expected;
+  for (const auto& [object_id, state] : ckpt->objects) {
+    if (!expected.contains(object_id)) {
+      expected[object_id] = org.ledger().cache().EncodeObjectState(object_id);
+    }
+    const auto theirs = ParseCounter(state);
+    if (!theirs) continue;  // non-canonical: rejected, nothing changes
+    Bytes& current = expected[object_id];
+    if (current.empty()) {
+      current = EncodeCounter(*theirs);
+      continue;
+    }
+    auto mine = ParseCounter(current);
+    ASSERT_TRUE(mine.has_value()) << object_id;
+    if (mine->type != theirs->type) continue;
+    mine->entries.insert(theirs->entries.begin(), theirs->entries.end());
+    current = EncodeCounter(*mine);
+  }
+  const std::uint64_t covered_before = org.catchup_stats().ckpt_txs_covered;
+  const std::uint64_t effective_before = org.effective_committed_valid();
+  const auto [count_before, xor_before] =
+      OrganizationTestPeer::Accumulators(org);
+
+  OrganizationTestPeer::Install(org, ckpt);
+
+  EXPECT_EQ(org.catchup_stats().ckpt_txs_covered - covered_before, adopted);
+  EXPECT_EQ(org.effective_committed_valid() - effective_before,
+            adopted_valid);
+  const auto [count_after, xor_after] = OrganizationTestPeer::Accumulators(org);
+  EXPECT_EQ(count_after, count_before + adopted_valid);
+  EXPECT_EQ(xor_after, xor_before ^ adopted_xor);
+  const auto index_after = OrganizationTestPeer::Index(org);
+  EXPECT_EQ(index_after.size(), index.size());
+  for (const auto& tx : index_after) {
+    const auto it = index.find(tx.id.bytes);
+    ASSERT_NE(it, index.end());
+    EXPECT_EQ(it->second, tx.valid);
+  }
+  for (const auto& [object_id, state] : expected) {
+    EXPECT_EQ(org.ledger().cache().EncodeObjectState(object_id), state)
+        << object_id;
+    if (const auto parsed = ParseCounter(state)) {
+      EXPECT_EQ(org.ReadState(object_id).counter, CounterSum(*parsed))
+          << object_id;
+    }
+  }
+  adopted_total += adopted;
+}
+
+/// A Byzantine origin's self-made checkpoint: covered ids shuffled,
+/// duplicated with flipped verdicts and padded with ids nobody committed;
+/// one object replaced by an unsorted state with a duplicate entry, one
+/// extended with fabricated contributions, and a new object whose state
+/// lists the same contribution twice.
+std::shared_ptr<const Checkpoint> MakeForgery(const Checkpoint& base,
+                                              Rng& rng) {
+  auto forged = std::make_shared<Checkpoint>(base);
+  for (std::size_t k = 0; k < 3 && !base.covered.empty(); ++k) {
+    Checkpoint::CoveredTx dup = base.covered[rng.NextBelow(base.covered.size())];
+    dup.valid = !dup.valid;
+    forged->covered.push_back(dup);
+  }
+  for (int k = 0; k < 4; ++k) {
+    forged->covered.push_back(
+        {D("fabricated-" + std::to_string(rng.Next())), k % 2 == 0});
+  }
+  rng.Shuffle(forged->covered);
+  const auto canonical = [](std::vector<CounterEntry> entries) {
+    CounterState c;
+    c.type = crdt::CrdtType::kGCounter;
+    c.entries.insert(entries.begin(), entries.end());
+    return EncodeCounter(c);
+  };
+  for (auto& [object_id, state] : forged->objects) {
+    auto parsed = ParseCounter(state);
+    if (!parsed || parsed->entries.empty()) continue;
+    if (object_id.back() == '0') {
+      // Unsorted, with a duplicate: the decoder must refuse it.
+      std::vector<CounterEntry> entries(parsed->entries.rbegin(),
+                                        parsed->entries.rend());
+      entries.push_back(entries.front());
+      codec::Writer w;
+      w.PutU8(static_cast<std::uint8_t>(parsed->type));
+      w.PutVarint(entries.size());
+      for (const auto& [client, counter, seq, amount] : entries) {
+        w.PutVarint(client);
+        w.PutVarint(counter);
+        w.PutU32(seq);
+        w.PutI64(amount);
+      }
+      state = w.Take();
+    } else {
+      parsed->entries.insert({9000 + rng.NextBelow(100), 1, 0, 3});
+      state = EncodeCounter(*parsed);
+    }
+  }
+  forged->objects.emplace_back(
+      "forged-new", canonical({{7, 1, 0, 2}, {7, 2, 0, 4}}));
+  // A first install used to count a duplicate twice in the total. Each
+  // entry above encodes to 7 bytes: overwrite the second with the first.
+  Bytes& dup_state = forged->objects.back().second;
+  std::copy(dup_state.end() - 14, dup_state.end() - 7, dup_state.end() - 7);
+  return forged;
+}
+
+TEST(CheckpointIncremental, SealInstallPruneMatchWholeHistoryReference) {
+  for (const bool attest : {false, true}) {
+    for (const std::uint64_t seed : {7ULL, 8ULL, 9ULL}) {
+      SCOPED_TRACE(testing::Message() << "attest=" << attest
+                                      << " seed=" << seed);
+      harness::OrderlessNetConfig config;
+      config.num_orgs = 5;
+      config.num_clients = 4;
+      config.policy = core::EndorsementPolicy{2, 5};
+      config.net.one_way_latency = sim::Ms(5);
+      config.net.jitter_stddev_ms = 0.2;
+      config.org_timing.gossip_interval = sim::Ms(200);
+      config.org_timing.gossip_fanout = 1;
+      config.org_timing.gossip_rounds = 2;
+      config.org_timing.antientropy_interval = sim::Ms(500);
+      config.org_timing.checkpoint.enabled = true;
+      config.org_timing.checkpoint.attest = attest;
+      config.org_timing.checkpoint.interval = sim::Ms(700);
+      config.client_timing.max_attempts = 4;
+      config.client_timing.endorse_timeout = sim::Ms(700);
+      config.client_timing.commit_timeout = sim::Ms(700);
+      config.seed = seed;
+      harness::OrderlessNet net(config);
+      net.RegisterContract(std::make_shared<contracts::SyntheticContract>());
+      net.Start();
+
+      Rng rng(seed);
+      const std::size_t steps = 60;
+      const std::size_t crash_step = 15 + rng.NextBelow(20);
+      const std::size_t forge_step = 10 + rng.NextBelow(40);
+      std::size_t seals = 0;
+      std::size_t installs = 0;
+      std::uint64_t adopted_total = 0;
+      std::optional<std::size_t> partitioned;
+      const auto running_org = [&net, &rng]() -> std::size_t {
+        for (;;) {
+          const std::size_t i = rng.NextBelow(net.org_count());
+          if (net.OrgRunning(i)) return i;
+        }
+      };
+      const auto run_for = [&net](sim::SimTime dt) {
+        net.simulation().RunUntil(net.simulation().now() + dt);
+      };
+      for (std::size_t step = 0; step < steps; ++step) {
+        switch (rng.NextBelow(6)) {
+          case 0:
+          case 1: {
+            const std::uint64_t txs = 1 + rng.NextBelow(12);
+            for (std::uint64_t t = 0; t < txs; ++t) {
+              net.client(rng.NextBelow(net.client_count()))
+                  .SubmitModify(
+                      "synthetic", "Modify",
+                      {crdt::Value(static_cast<std::int64_t>(
+                           1 + rng.NextBelow(2))),
+                       crdt::Value(std::int64_t{1}),
+                       crdt::Value(std::string(contracts::kTypeGCounter))},
+                      [](const core::TxOutcome&) {});
+            }
+            run_for(sim::Ms(150));
+            break;
+          }
+          case 2:
+            // Cut one org off for a while so the others' checkpoints cover
+            // commits it never saw.
+            if (!partitioned) {
+              partitioned = rng.NextBelow(net.org_count());
+              net.network().SetPartition(net.org_node(*partitioned), 1);
+            } else if (rng.NextBool(0.4)) {
+              net.network().HealPartitions();
+              partitioned.reset();
+            }
+            break;
+          case 3:
+            CheckSeal(net.org(running_org()), attest);
+            ++seals;
+            break;
+          case 4: {
+            // Installing into the cut-off org adopts what it missed.
+            const std::size_t target =
+                partitioned && net.OrgRunning(*partitioned) && rng.NextBool(0.5)
+                    ? *partitioned
+                    : running_org();
+            const std::size_t origin = rng.NextBelow(net.org_count());
+            const auto& ckpt = rng.NextBool(0.7)
+                                   ? net.org(origin).sealed_checkpoint()
+                                   : net.org(origin).installed_checkpoint();
+            if (ckpt != nullptr) {
+              CheckInstall(net.org(target), ckpt, adopted_total);
+              ++installs;
+            }
+            break;
+          }
+          default:
+            run_for(sim::Ms(300 + rng.NextBelow(1200)));
+            break;
+        }
+        if (step == crash_step) {
+          const std::size_t victim = running_org();
+          net.CrashOrg(victim);
+          run_for(sim::Ms(400));
+          ASSERT_TRUE(net.RestartOrg(victim));
+          // The seal delta is re-derived from the recovered index.
+          CheckSeal(net.org(victim), attest);
+          ++seals;
+        }
+        if (step == forge_step) {
+          const std::size_t origin = running_org();
+          if (net.org(origin).sealed_checkpoint() != nullptr) {
+            CheckInstall(net.org((origin + 1) % net.org_count()),
+                         MakeForgery(*net.org(origin).sealed_checkpoint(), rng),
+                         adopted_total);
+            ++installs;
+          }
+        }
+        // Behind the pruned frontier no body survives, in either mode.
+        for (std::size_t i = 0; i < net.org_count(); ++i) {
+          const auto& frontier = attest ? net.org(i).attested_checkpoint()
+                                        : net.org(i).sealed_checkpoint();
+          if (frontier == nullptr) continue;
+          EXPECT_EQ(CoveredBodyRows(net.org(i).mutable_ledger().store(),
+                                    frontier->covered),
+                    0u)
+              << "org " << i << " step " << step;
+        }
+        if (testing::Test::HasFatalFailure()) return;
+      }
+      net.network().HealPartitions();
+      run_for(sim::Sec(4));
+      for (std::size_t i = 0; i < net.org_count(); ++i) {
+        if (net.OrgRunning(i)) CheckSeal(net.org(i), attest);
+      }
+      EXPECT_GE(seals, 4u);
+      EXPECT_GE(installs, 3u);
+      EXPECT_GT(adopted_total, 0u) << "installs must adopt something";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden pin: a short soak-shaped experiment (16 orgs, EP{4 of 16},
+// checkpoints every second with anti-entropy, 2 engine threads) must keep
+// producing exactly the outcome recorded before the checkpoint path became
+// incremental. Any change to which commits a seal covers, what an install
+// adopts or what a prune deletes moves one of these numbers.
+
+TEST(CheckpointGolden, SoakShapedRunMatchesRecordedOutcome) {
+  harness::ExperimentConfig c;
+  c.num_orgs = 16;
+  c.policy = {4, 16};
+  c.workload.arrival_tps = 600;
+  c.workload.duration = sim::Sec(3);
+  c.workload.drain = sim::Sec(6);
+  c.workload.modify_fraction = 0.5;
+  c.workload.num_clients = 200;
+  c.workload.obj_count = 1;
+  c.workload.ops_per_obj = 1;
+  c.workload.crdt_type = "g-counter";
+  c.checkpoint_interval = sim::Sec(1);
+  c.threads = 2;
+  c.seed = 1;
+  const harness::ExperimentResult r = harness::RunExperiment(c);
+  const harness::RobustnessStats& rob = r.metrics.robustness;
+
+  codec::Writer heads;
+  for (const crypto::Digest& head : r.org_chain_heads) {
+    heads.PutBytes(head.View());
+  }
+  const std::uint64_t heads_fingerprint =
+      crypto::Sha256::Hash(BytesView(heads.data())).Prefix64();
+  // Recorded on the whole-history implementation (same config and seed).
+  EXPECT_EQ(rob.ckpt_sealed, 69u);
+  EXPECT_EQ(rob.ckpt_installed, 112u);
+  EXPECT_EQ(rob.ckpt_txs_covered, 3101u);
+  EXPECT_EQ(rob.pruned_records, 11027u);
+  EXPECT_EQ(rob.sync_txs_sent, 11874u);
+  EXPECT_EQ(r.events_processed, 79678u);
+  EXPECT_EQ(r.metrics.modify_latency.count(), 883u);
+  EXPECT_EQ(r.metrics.modify_latency.SumUs(), 187897927u);
+  EXPECT_EQ(r.metrics.read_latency.count(), 917u);
+  EXPECT_EQ(r.metrics.read_latency.SumUs(), 97131892u);
+  ASSERT_EQ(r.org_chain_heads.size(), 16u);
+  EXPECT_EQ(heads_fingerprint, 0xf3679e3dc9f486afULL);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // must still be internally consistent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "clock/vector_clock.h"
 #include "core/transaction.h"
@@ -103,6 +105,93 @@ TEST(FuzzDecode, MutatedCrdtStatesNeverCrash) {
       (void)decoded->Read();  // materialization must be safe too
       (void)decoded->EncodeState();
     }
+  }
+}
+
+// Sum of the entries of a counter state, read straight off its encoding.
+std::int64_t SumOfEncodedEntries(const Bytes& state) {
+  codec::Reader r{BytesView(state)};
+  (void)r.GetU8();
+  const auto n = r.GetVarint();
+  std::uint64_t sum = 0;
+  for (std::uint64_t i = 0; n && i < *n; ++i) {
+    (void)r.GetVarint();
+    (void)r.GetVarint();
+    (void)r.GetU32();
+    sum += static_cast<std::uint64_t>(r.GetI64().value_or(0));
+  }
+  return static_cast<std::int64_t>(sum);
+}
+
+TEST(FuzzDecode, MutatedCounterStatesStayCanonical) {
+  // A decoded counter must be exactly the set it encodes: its value is the
+  // sum of its entries, its re-encoding decodes to the same bytes again, and
+  // a G-Counter never holds a non-positive amount. Mutations that break the
+  // strict entry order (duplicates included) must be rejected outright.
+  Rng rng(2024);
+  for (const crdt::CrdtType type :
+       {crdt::CrdtType::kGCounter, crdt::CrdtType::kPNCounter}) {
+    crdt::CrdtObject obj("c", type);
+    for (int i = 0; i < 40; ++i) {
+      crdt::Operation op;
+      op.object_id = "c";
+      op.object_type = type;
+      op.kind = crdt::OpKind::kAddValue;
+      op.value_type = type;
+      op.value = crdt::Value(std::int64_t{1 + i % 7});
+      op.clock = clk::OpClock{1 + rng.NextBelow(5), 1 + rng.NextBelow(50)};
+      op.seq = static_cast<std::uint32_t>(rng.NextBelow(3));
+      obj.ApplyOperation(op);
+    }
+    const Bytes state = obj.EncodeState();
+    int accepted = 0;
+    for (int round = 0; round < 400; ++round) {
+      Bytes mutated = state;
+      const std::size_t mutations = 1 + rng.NextBelow(4);
+      for (std::size_t m = 0; m < mutations; ++m) {
+        // Skip the type tag: a different node type is another decoder.
+        mutated[1 + rng.NextBelow(mutated.size() - 1)] =
+            static_cast<std::uint8_t>(rng.Next());
+      }
+      const auto decoded =
+          crdt::CrdtObject::DecodeState("c", BytesView(mutated));
+      if (!decoded) continue;
+      ++accepted;
+      const Bytes again = decoded->EncodeState();
+      EXPECT_EQ(decoded->Read().counter, SumOfEncodedEntries(again));
+      const auto redecoded = crdt::CrdtObject::DecodeState("c", BytesView(again));
+      ASSERT_NE(redecoded, nullptr);
+      EXPECT_EQ(redecoded->EncodeState(), again);
+      EXPECT_EQ(redecoded->Read().counter, decoded->Read().counter);
+    }
+    EXPECT_GT(accepted, 0) << "some mutations only change amounts or ids";
+  }
+  // Entry-order violations, built directly.
+  for (const crdt::CrdtType type :
+       {crdt::CrdtType::kGCounter, crdt::CrdtType::kPNCounter}) {
+    crdt::CrdtObject obj("c", type);
+    for (std::uint64_t client = 1; client <= 3; ++client) {
+      crdt::Operation op;
+      op.object_id = "c";
+      op.object_type = type;
+      op.kind = crdt::OpKind::kAddValue;
+      op.value_type = type;
+      op.value = crdt::Value(std::int64_t{2});
+      op.clock = clk::OpClock{client, 1};
+      obj.ApplyOperation(op);
+    }
+    const Bytes state = obj.EncodeState();
+    // Header: type tag + 1-byte count; entries: 1 + 1 + 4 + 1 bytes each.
+    ASSERT_EQ(state.size(), 2u + 3u * 7u);
+    Bytes swapped = state;
+    std::swap_ranges(swapped.begin() + 2, swapped.begin() + 9,
+                     swapped.begin() + 9);
+    EXPECT_EQ(crdt::CrdtObject::DecodeState("c", BytesView(swapped)), nullptr);
+    Bytes duplicated = state;
+    std::copy(duplicated.begin() + 2, duplicated.begin() + 9,
+              duplicated.begin() + 9);
+    EXPECT_EQ(crdt::CrdtObject::DecodeState("c", BytesView(duplicated)),
+              nullptr);
   }
 }
 
