@@ -273,6 +273,9 @@ class Organization {
   ledger::Ledger& mutable_ledger() { return ledger_; }
   const OrgPhaseStats& phase_stats() const { return phase_stats_; }
   const CatchupStats& catchup_stats() const { return catchup_stats_; }
+  /// Transactions in the commit index (every id this org committed or
+  /// adopted from a checkpoint).
+  std::size_t commit_index_size() const { return commit_index_.size(); }
   /// Latest checkpoint this organization sealed (null before the first).
   const std::shared_ptr<const Checkpoint>& sealed_checkpoint() const {
     return sealed_ckpt_;

@@ -32,17 +32,21 @@ void PutEntry(codec::Writer& w, const ContributionSet::Entry& e) {
 
 // ---------------------------------------------------------- ContributionSet
 
-void ContributionSet::Insert(const Entry& e) {
-  if (std::binary_search(run_.begin(), run_.end(), e)) return;
-  if (tail_.insert(e).second) total_ = WrappingAdd(total_, e.second);
+bool ContributionSet::Insert(const Entry& e) {
+  if (std::binary_search(run_.begin(), run_.end(), e)) return false;
+  if (!tail_.insert(e).second) return false;
+  total_ = WrappingAdd(total_, e.second);
+  if (tail_.size() > MaxTail(run_.size())) Fold();
+  return true;
 }
 
 void ContributionSet::Fold() const {
   if (tail_.empty()) return;
   std::vector<Entry> fresh(tail_.begin(), tail_.end());
   std::sort(fresh.begin(), fresh.end());
-  // Release the buckets too: the next interval's tail starts small again.
-  std::unordered_set<Entry, ContributionHash>().swap(tail_);
+  // Keep the buckets: the tail refills to about this size before the next
+  // fold, and its bound keeps them a fraction of the run.
+  tail_.clear();
   MergeIntoRun(fresh);
 }
 
@@ -119,8 +123,7 @@ void ContributionSet::MergeFrom(const ContributionSet& other) {
 bool GCounterNode::Apply(const Operation& op, std::size_t depth) {
   if (!AtLeaf(op, depth) || op.kind != OpKind::kAddValue) return false;
   if (!op.value.IsInt() || op.value.AsInt() <= 0) return false;  // grow-only
-  contributions_.Insert({op.id(), op.value.AsInt()});
-  return true;
+  return contributions_.Insert({op.id(), op.value.AsInt()});
 }
 
 ReadResult GCounterNode::ReadAt(const std::vector<std::string>& path,
@@ -161,8 +164,7 @@ void GCounterNode::MergeFrom(const CrdtNode& other) {
 bool PNCounterNode::Apply(const Operation& op, std::size_t depth) {
   if (!AtLeaf(op, depth) || op.kind != OpKind::kAddValue) return false;
   if (!op.value.IsInt()) return false;
-  contributions_.Insert({op.id(), op.value.AsInt()});
-  return true;
+  return contributions_.Insert({op.id(), op.value.AsInt()});
 }
 
 ReadResult PNCounterNode::ReadAt(const std::vector<std::string>& path,
@@ -200,26 +202,27 @@ void PNCounterNode::MergeFrom(const CrdtNode& other) {
 
 // -------------------------------------------------------------- MV-Register
 
-void MVRegisterNode::Assign(const Value& v, const clk::OpClock& clock) {
+bool MVRegisterNode::Assign(const Value& v, const clk::OpClock& clock) {
   // Keep the maximal antichain: skip if dominated, drop what we dominate.
   for (const auto& [c, existing] : candidates_) {
     (void)existing;
-    if (clk::HappenedBefore(clock, c)) return;
+    if (clk::HappenedBefore(clock, c)) return false;
   }
+  bool dropped = false;
   for (auto it = candidates_.begin(); it != candidates_.end();) {
     if (clk::HappenedBefore(it->first, clock)) {
       it = candidates_.erase(it);
+      dropped = true;
     } else {
       ++it;
     }
   }
-  candidates_.emplace(clock, v);
+  return candidates_.emplace(clock, v).second || dropped;
 }
 
 bool MVRegisterNode::Apply(const Operation& op, std::size_t depth) {
   if (!AtLeaf(op, depth) || op.kind != OpKind::kAssignValue) return false;
-  Assign(op.value, op.clock);
-  return true;
+  return Assign(op.value, op.clock);
 }
 
 ReadResult MVRegisterNode::ReadAt(const std::vector<std::string>& path,
@@ -273,22 +276,21 @@ void MVRegisterNode::MergeFrom(const CrdtNode& other) {
 
 // ------------------------------------------------------------- LWW-Register
 
-void LWWRegisterNode::Assign(const Value& v, const clk::OpClock& clock) {
+bool LWWRegisterNode::Assign(const Value& v, const clk::OpClock& clock) {
   // Total order: (counter, client, value) — deterministic for any arrival
   // order, even across clients.
   const auto candidate = std::make_tuple(clock.counter, clock.client, v);
   const auto current = std::make_tuple(clock_.counter, clock_.client, value_);
-  if (!has_value_ || candidate > current) {
-    has_value_ = true;
-    clock_ = clock;
-    value_ = v;
-  }
+  if (has_value_ && !(candidate > current)) return false;
+  has_value_ = true;
+  clock_ = clock;
+  value_ = v;
+  return true;
 }
 
 bool LWWRegisterNode::Apply(const Operation& op, std::size_t depth) {
   if (!AtLeaf(op, depth) || op.kind != OpKind::kAssignValue) return false;
-  Assign(op.value, op.clock);
-  return true;
+  return Assign(op.value, op.clock);
 }
 
 ReadResult LWWRegisterNode::ReadAt(const std::vector<std::string>& path,
@@ -357,12 +359,10 @@ bool ORSetNode::Element::Visible() const {
 bool ORSetNode::Apply(const Operation& op, std::size_t depth) {
   if (!AtLeaf(op, depth)) return false;
   if (op.kind == OpKind::kAddValue) {
-    elements_[op.value].adds.insert(op.clock);
-    return true;
+    return elements_[op.value].adds.insert(op.clock).second;
   }
   if (op.kind == OpKind::kRemoveValue) {
-    elements_[op.value].removes.insert(op.clock);
-    return true;
+    return elements_[op.value].removes.insert(op.clock).second;
   }
   return false;
 }

@@ -2,6 +2,7 @@
 // PN-Counter, LWW-Register and OR-Set extensions.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -33,22 +34,28 @@ struct ContributionHash {
 /// replays dedup and Byzantine op-id reuse still converges.
 ///
 /// Layout: a sorted flat run plus an unsorted tail. Apply-path inserts land
-/// in the tail, a hash set, exactly as cheap as a plain hash set. Encode and
-/// MergeFrom first fold the tail into the run (sort the tail, merge in
-/// place), so a counter that is sealed every interval keeps only that
-/// interval's inserts in the tail and everything else at 32 bytes per entry
-/// in the run. Encode then writes the run in one linear pass, Decode reads
-/// the canonical (strictly increasing) stream straight into the run, and
-/// MergeFrom walks two runs side by side, adding only what the target
-/// lacks. Folding never changes the set, so it is allowed on const objects.
+/// in the tail, a hash set, after a binary search of the run. The tail is
+/// folded into the run (sort the tail, merge in place) once it outgrows
+/// MaxTail, and by Encode and MergeFrom, so every entry but a bounded
+/// recent few sits at 32 bytes in the run, sealed or not. Encode then
+/// writes the run in one linear pass, Decode reads the canonical (strictly
+/// increasing) stream straight into the run, and MergeFrom walks two runs
+/// side by side, adding only what the target lacks. Folding never changes
+/// the set, so it is allowed on const objects.
 class ContributionSet {
  public:
   using Entry = std::pair<OpId, std::int64_t>;
 
-  /// Adds `e` unless already present.
-  void Insert(const Entry& e);
+  /// Adds `e` unless already present; returns true iff it was new.
+  bool Insert(const Entry& e);
   std::int64_t total() const { return total_; }
   std::size_t size() const { return run_.size() + tail_.size(); }
+  std::size_t tail_size() const { return tail_.size(); }
+  /// Largest tail Insert leaves behind a run of `run_size` entries: folding
+  /// at a fixed fraction of the run keeps the amortized fold cost constant.
+  static std::size_t MaxTail(std::size_t run_size) {
+    return std::max<std::size_t>(256, run_size / 4);
+  }
 
   /// Canonical encoding: count, then the entries in increasing order.
   void Encode(codec::Writer& w) const;
@@ -124,8 +131,9 @@ class MVRegisterNode final : public CrdtNode {
   void MergeFrom(const CrdtNode& other) override;
   std::size_t OpCount() const override { return candidates_.size(); }
 
-  /// Direct assignment (used when a map insert carries an initial value).
-  void Assign(const Value& v, const clk::OpClock& clock);
+  /// Direct assignment (used when a map insert carries an initial value);
+  /// returns true iff the candidate set changed.
+  bool Assign(const Value& v, const clk::OpClock& clock);
 
   static std::unique_ptr<MVRegisterNode> Decode(codec::Reader& r);
 
@@ -146,7 +154,8 @@ class LWWRegisterNode final : public CrdtNode {
   void MergeFrom(const CrdtNode& other) override;
   std::size_t OpCount() const override { return has_value_ ? 1 : 0; }
 
-  void Assign(const Value& v, const clk::OpClock& clock);
+  /// Returns true iff (v, clock) became the winner.
+  bool Assign(const Value& v, const clk::OpClock& clock);
 
   static std::unique_ptr<LWWRegisterNode> Decode(codec::Reader& r);
 

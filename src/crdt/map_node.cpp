@@ -27,17 +27,15 @@ bool MapNode::Apply(const Operation& op, std::size_t depth) {
   Slot& slot = slots_[segment];
   slot.depth = depth;
   if (is_final_insert) {
-    const auto [it, inserted] =
-        slot.inserts.insert(InsertRecord{op.clock, op.value_type, op.value});
-    (void)it;
+    const bool inserted =
+        slot.inserts.insert(InsertRecord{op.clock, op.value_type, op.value})
+            .second;
     if (inserted) slot.dirty = true;  // candidate set may change: rebuild
-    return true;
+    return inserted;
   }
 
   const auto key = std::make_pair(op.id(), op.ContentDigest());
-  const auto [it, inserted] = slot.ops.emplace(key, op);
-  (void)it;
-  if (!inserted) return true;  // duplicate delivery
+  if (!slot.ops.emplace(key, op).second) return false;  // re-delivery
 
   if (slot.dirty) return true;  // will be folded in at materialization
   if (slot.candidates.empty()) {
@@ -54,18 +52,17 @@ bool MapNode::Apply(const Operation& op, std::size_t depth) {
       return true;
     }
   }
-  bool absorbed = false;
+  // A rebuild adds a candidate for this op only when no live candidate has
+  // the child type it implies; otherwise it folds the op into exactly the
+  // candidates the loop below reaches.
+  const CrdtType implied = ImpliedChildType(op, depth);
+  bool typed = false;
   for (auto& candidate : slot.candidates) {
+    typed = typed || candidate.node->type() == implied;
     if (clk::HappenedBefore(op.clock, candidate.clock)) continue;  // reset
-    if (candidate.node != nullptr && candidate.node->Apply(op, depth + 1)) {
-      absorbed = true;
-    }
+    candidate.node->Apply(op, depth + 1);
   }
-  if (!absorbed) {
-    // Type-incompatible with every live candidate; a rebuild may need a new
-    // implicit candidate for this op's implied type.
-    slot.dirty = true;
-  }
+  if (!typed) slot.dirty = true;
   return true;
 }
 

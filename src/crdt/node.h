@@ -40,10 +40,10 @@ class CrdtNode {
 
   virtual CrdtType type() const = 0;
 
-  /// Applies `op`, whose path is resolved starting at `depth`. Returns false
-  /// when the operation is incompatible with this node and was ignored (the
-  /// decision is deterministic, so every correct replica ignores the same
-  /// operations).
+  /// Applies `op`, whose path is resolved starting at `depth`. Returns true
+  /// iff the node's state changed: false when the operation is incompatible
+  /// with this node (deterministic, so every correct replica ignores the
+  /// same operations) or adds nothing, as an exact re-delivery never does.
   virtual bool Apply(const Operation& op, std::size_t depth) = 0;
 
   /// Reads the value at `path` (resolved from `depth`).

@@ -32,6 +32,23 @@ std::optional<OpId> SequenceNode::ParseId(std::string_view body) {
   return id;
 }
 
+bool SequenceNode::Put(const OpId& id, Element element) {
+  const auto [it, inserted] = elements_.emplace(id, element);
+  if (!inserted) {
+    // Byzantine id reuse with different content: converge by keeping the
+    // deterministically smaller (anchor, value) variant on every replica.
+    // An exact re-delivery is never smaller, so it changes nothing.
+    const auto key_of = [](const Element& e) {
+      return std::make_tuple(e.root_anchor, e.anchor, e.value);
+    };
+    if (!(key_of(element) < key_of(it->second))) return false;
+    children_[{it->second.root_anchor, it->second.anchor}].erase(id);
+    it->second = std::move(element);
+  }
+  children_[{it->second.root_anchor, it->second.anchor}].insert(id);
+  return true;
+}
+
 bool SequenceNode::Apply(const Operation& op, std::size_t depth) {
   // The leaf segment addresses an anchor or element within this sequence.
   if (depth + 1 != op.path.size()) return false;
@@ -49,31 +66,12 @@ bool SequenceNode::Apply(const Operation& op, std::size_t depth) {
       element.anchor = *anchor;
     }
     element.value = op.value;
-    const OpId id = op.id();
-    const auto [it, inserted] = elements_.emplace(id, element);
-    if (inserted) {
-      children_[{it->second.root_anchor, it->second.anchor}].insert(id);
-    } else if (it->second.anchor != element.anchor ||
-               it->second.root_anchor != element.root_anchor ||
-               it->second.value != element.value) {
-      // Byzantine id reuse with different content: converge by keeping the
-      // deterministically smaller (anchor, value) variant on every replica.
-      const auto key_of = [](const Element& e) {
-        return std::make_tuple(e.root_anchor, e.anchor, e.value);
-      };
-      if (key_of(element) < key_of(it->second)) {
-        children_[{it->second.root_anchor, it->second.anchor}].erase(id);
-        it->second = element;
-        children_[{element.root_anchor, element.anchor}].insert(id);
-      }
-    }
-    return true;
+    return Put(op.id(), std::move(element));
   }
   if (op.kind == OpKind::kRemoveValue && segment[0] == 'e') {
     const auto target = ParseId(body);
     if (!target) return false;
-    removed_.insert(*target);
-    return true;
+    return removed_.insert(*target).second;
   }
   return false;
 }
@@ -148,10 +146,7 @@ std::unique_ptr<SequenceNode> SequenceNode::Decode(codec::Reader& r) {
     element.root_anchor = *root_anchor;
     element.anchor = OpId{*a_client, *a_counter, *a_seq};
     element.value = std::move(*value);
-    const auto [it, inserted] = node->elements_.emplace(id, std::move(element));
-    if (inserted) {
-      node->children_[{it->second.root_anchor, it->second.anchor}].insert(id);
-    }
+    node->Put(id, std::move(element));
   }
   const auto removes = r.GetVarint();
   if (!removes) return nullptr;
@@ -176,12 +171,7 @@ std::unique_ptr<CrdtNode> SequenceNode::Clone() const {
 void SequenceNode::MergeFrom(const CrdtNode& other) {
   const auto* o = dynamic_cast<const SequenceNode*>(&other);
   if (o == nullptr) return;
-  for (const auto& [id, element] : o->elements_) {
-    const auto [it, inserted] = elements_.emplace(id, element);
-    if (inserted) {
-      children_[{it->second.root_anchor, it->second.anchor}].insert(id);
-    }
-  }
+  for (const auto& [id, element] : o->elements_) Put(id, element);
   removed_.insert(o->removed_.begin(), o->removed_.end());
 }
 

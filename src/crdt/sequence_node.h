@@ -51,6 +51,9 @@ class SequenceNode final : public CrdtNode {
     bool root_anchor = false;
     Value value;
   };
+  /// Adds element `id`, or replaces a differing variant of it that sorts
+  /// higher; returns true iff anything changed.
+  bool Put(const OpId& id, Element element);
   static std::optional<OpId> ParseId(std::string_view body);
   void Walk(const OpId& anchor, bool root,
             std::vector<Value>& out) const;

@@ -140,6 +140,8 @@ class Driver {
   virtual PhaseBreakdown Breakdown() const = 0;
   /// Overload/retry counters; only OrderlessChain implements the layer.
   virtual RobustnessStats Robustness() const { return {}; }
+  /// End-of-run state sizes; OrderlessChain only.
+  virtual StateStats State() const { return {}; }
   /// Zero-copy commit rows (shared sealed encodings); OrderlessChain only.
   virtual std::size_t BodyRefRows() const { return 0; }
   /// Hash-chain head per organization; OrderlessChain only.
@@ -313,6 +315,17 @@ class OrderlessDriver final : public Driver {
       r.ckpt_refused += cu.ckpt_refused;
     }
     return r;
+  }
+
+  StateStats State() const override {
+    StateStats s;
+    auto& net = const_cast<OrderlessNet&>(*net_);
+    for (std::size_t i = 0; i < net.org_count(); ++i) {
+      const core::Organization& org = net.org(i);
+      s.crdt_entries += org.ledger().cache().StateEntries();
+      s.commit_index_entries += org.commit_index_size();
+    }
+    return s;
   }
 
   std::size_t BodyRefRows() const override { return net_->BodyRefRows(); }
@@ -649,6 +662,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     result.metrics.MergeFrom(shard);
   }
   result.metrics.robustness = driver->Robustness();
+  result.metrics.state = driver->State();
   result.breakdown = driver->Breakdown();
   result.throughput_per_second = result.metrics.per_second.PerSecond(w.duration);
   result.events_processed = simulation.events_processed();

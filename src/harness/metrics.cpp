@@ -129,6 +129,12 @@ void RobustnessStats::FillRegistry(obs::MetricsRegistry& registry) const {
   }
 }
 
+void StateStats::FillRegistry(obs::MetricsRegistry& registry) const {
+  registry.gauge("state.crdt_entries").Set(static_cast<double>(crdt_entries));
+  registry.gauge("state.commit_index_entries")
+      .Set(static_cast<double>(commit_index_entries));
+}
+
 void ExperimentMetrics::FillRegistry(obs::MetricsRegistry& registry) const {
   registry.counter("experiment.submitted").Add(submitted);
   registry.counter("experiment.committed_modify").Add(committed_modify);
@@ -154,6 +160,7 @@ void ExperimentMetrics::FillRegistry(obs::MetricsRegistry& registry) const {
     recorder->FillHistogram(registry.histogram(std::string(name) + "_hist"));
   }
   robustness.FillRegistry(registry);
+  state.FillRegistry(registry);
 }
 
 double Mean(const std::vector<double>& values) {

@@ -104,6 +104,16 @@ struct RobustnessStats {
   void FillRegistry(obs::MetricsRegistry& registry) const;
 };
 
+/// Per-org state size at the end of a run, summed over organizations
+/// (OrderlessChain only; zero for the baselines).
+struct StateStats {
+  std::uint64_t crdt_entries = 0;          // Σ root OpCount() of every object
+  std::uint64_t commit_index_entries = 0;  // Σ commit-index entries
+
+  /// Exports both as "state.*" gauges.
+  void FillRegistry(obs::MetricsRegistry& registry) const;
+};
+
 /// Everything one experiment reports.
 struct ExperimentMetrics {
   std::uint64_t submitted = 0;
@@ -118,21 +128,23 @@ struct ExperimentMetrics {
   sim::SimTime first_commit = 0;
   sim::SimTime last_commit = 0;
   RobustnessStats robustness;
+  StateStats state;
 
   /// Committed transactions divided by the time they took (paper's
   /// definition of transaction throughput).
   double ThroughputTps() const;
 
   /// Accumulates a per-client shard (counts add, latency samples append,
-  /// commit window widens). Robustness counters are not merged — they are
-  /// collected once from the driver after the run. The experiment runner
-  /// keeps one shard per client in *both* engine modes and merges them in
-  /// client order, so the combined document is byte-identical at any
-  /// thread count.
+  /// commit window widens). Robustness counters and state gauges are not
+  /// merged — they are collected once from the driver after the run. The
+  /// experiment runner keeps one shard per client in *both* engine modes
+  /// and merges them in client order, so the combined document is
+  /// byte-identical at any thread count.
   void MergeFrom(const ExperimentMetrics& other);
 
   /// Exports counts, throughput, latency statistics and histograms into
-  /// `registry` under "experiment.*" (plus the robustness counters).
+  /// `registry` under "experiment.*" (plus the robustness counters and the
+  /// state gauges).
   void FillRegistry(obs::MetricsRegistry& registry) const;
 };
 

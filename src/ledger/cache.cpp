@@ -93,6 +93,17 @@ std::size_t CrdtCache::object_count() const {
   return entries_.size();
 }
 
+std::size_t CrdtCache::StateEntries() const {
+  std::lock_guard<std::mutex> lock(map_mutex_);
+  std::size_t n = 0;
+  for (const auto& [id, entry] : entries_) {
+    (void)id;
+    std::lock_guard<std::mutex> entry_lock(entry->mutex);
+    n += entry->object->root().OpCount();
+  }
+  return n;
+}
+
 void CrdtCache::Clear() {
   std::lock_guard<std::mutex> lock(map_mutex_);
   entries_.clear();

@@ -22,8 +22,9 @@ namespace orderless::ledger {
 class CrdtCache {
  public:
   /// Applies operations to their objects, creating objects on first touch.
-  /// Returns the number of operations actually absorbed (duplicates and
-  /// type-incompatible operations are ignored deterministically).
+  /// Returns the number of operations that changed an object's state
+  /// (re-deliveries and type-incompatible operations are ignored
+  /// deterministically).
   std::size_t Apply(const std::vector<crdt::Operation>& ops);
 
   /// Reads an object's value at `path`; a missing object reads as absent.
@@ -44,6 +45,8 @@ class CrdtCache {
   bool MergeEncodedState(const std::string& object_id, BytesView state);
 
   std::size_t object_count() const;
+  /// Operations stored in every object's state (Σ of root OpCount()).
+  std::size_t StateEntries() const;
   std::size_t total_ops() const { return total_ops_; }
 
   /// Drops everything (used when rebuilding from the persistent store).

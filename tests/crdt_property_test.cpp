@@ -1,11 +1,16 @@
 // Property tests for Lemma 6.1 (order-independent convergence) and SEC's
 // strong-convergence requirement: random operation sets, applied in random
 // permutations with random duplication, must always produce identical
-// canonical states.
+// canonical states. The idempotence properties at the end check that the
+// CRDT state alone dedups re-deliveries exactly.
 #include <gtest/gtest.h>
+
+#include <set>
+#include <utility>
 
 #include "common/rng.h"
 #include "crdt/object.h"
+#include "crdt/sequence_node.h"
 
 namespace orderless::crdt {
 namespace {
@@ -266,6 +271,195 @@ TEST(ConvergenceMerge, LeafTypesMerge) {
         << CrdtTypeName(type);
   }
 }
+
+// Random RGA sequence ops: inserts anchored at the start or after an
+// earlier insert, and removes of earlier inserts.
+std::vector<Operation> RandomSequenceOps(Rng& rng, int num_clients,
+                                         int ops_per_client) {
+  std::vector<Operation> ops;
+  std::vector<OpId> inserted;
+  for (int client = 1; client <= num_clients; ++client) {
+    for (int counter = 1; counter <= ops_per_client; ++counter) {
+      Operation op;
+      op.object_id = "obj";
+      op.object_type = CrdtType::kSequence;
+      op.value_type = CrdtType::kSequence;
+      op.clock = clk::OpClock{static_cast<std::uint64_t>(client),
+                              static_cast<std::uint64_t>(counter)};
+      if (inserted.empty() || rng.NextBool(0.75)) {
+        op.kind = OpKind::kInsertValue;
+        op.path = {inserted.empty() || rng.NextBool(0.2)
+                       ? SequenceNode::AnchorRootSegment()
+                       : SequenceNode::AnchorSegment(
+                             inserted[rng.NextBelow(inserted.size())])};
+        op.value = Value("v" + std::to_string(rng.NextInRange(0, 9)));
+        inserted.push_back(op.id());
+      } else {
+        op.kind = OpKind::kRemoveValue;
+        op.path = {SequenceNode::ElementSegment(
+            inserted[rng.NextBelow(inserted.size())])};
+      }
+      ops.push_back(std::move(op));
+    }
+  }
+  return ops;
+}
+
+// A Byzantine variant of `op`: the same OpId with a different amount or
+// value, or a different value_type.
+Operation Equivocate(Rng& rng, const Operation& op) {
+  Operation evil = op;
+  if (rng.NextBool(0.3)) {
+    evil.value_type = evil.value_type == CrdtType::kMVRegister
+                          ? CrdtType::kLWWRegister
+                          : CrdtType::kMVRegister;
+  } else if (op.value.IsInt()) {
+    evil.value = Value(op.value.AsInt() + rng.NextInRange(1, 3));
+  } else {
+    evil.value = Value("evil" + std::to_string(rng.NextInRange(0, 2)));
+  }
+  return evil;
+}
+
+using DedupKey = std::pair<OpId, crypto::Digest>;
+
+// The dedup contract ApplyOperation must keep without a per-op table: each
+// distinct (op id, content digest) reaches the object once.
+struct OnceOracle {
+  explicit OnceOracle(CrdtType type) : object("obj", type) {}
+  void Apply(const Operation& op) {
+    if (seen.insert({op.id(), op.ContentDigest()}).second) {
+      object.ApplyOperation(op);
+    }
+  }
+  CrdtObject object;
+  std::set<DedupKey> seen;
+};
+
+// Applies `stream` in order. Every op whose key is in `delivered` (or earlier
+// in the stream) is an exact re-delivery and must return false. Random
+// reads force map materialization between applies.
+void Deliver(Rng& rng, CrdtObject& object, const std::vector<Operation>& stream,
+             std::set<DedupKey>& delivered) {
+  for (const Operation& op : stream) {
+    const bool again = !delivered.insert({op.id(), op.ContentDigest()}).second;
+    const bool changed = object.ApplyOperation(op);
+    if (again) {
+      ASSERT_FALSE(changed) << "re-delivery changed state: " << op.ToString();
+    }
+    if (rng.NextBool(0.2)) {
+      object.Read();
+      if (!op.path.empty()) object.Read({op.path.front()});
+    }
+  }
+}
+
+struct IdempotenceParams {
+  std::uint64_t seed;
+  CrdtType type;
+};
+
+std::string IdempotenceName(
+    const testing::TestParamInfo<IdempotenceParams>& info) {
+  std::string name = std::string(CrdtTypeName(info.param.type)) + "_s" +
+                     std::to_string(info.param.seed);
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') c = '_';
+  }
+  return name;
+}
+
+class IdempotenceProperty : public testing::TestWithParam<IdempotenceParams> {
+};
+
+// Random streams with exact re-deliveries and equivocating op ids. The state
+// must equal the once-per-key oracle's, every exact re-delivery must return
+// false, and that must still hold on a clone, a merged replica and a decoded
+// state, mid-stream and at the end.
+TEST_P(IdempotenceProperty, StateIsItsOwnDedupIndex) {
+  const IdempotenceParams& params = GetParam();
+  Rng rng(params.seed);
+  std::vector<Operation> stream =
+      params.type == CrdtType::kSequence
+          ? RandomSequenceOps(rng, 4, 12)
+          : RandomOps(rng, params.type, 4, 12);
+  const std::size_t distinct = stream.size();
+  for (std::size_t i = 0; i < distinct; ++i) {
+    if (rng.NextBool(0.3)) stream.push_back(Equivocate(rng, stream[i]));
+  }
+  const std::size_t with_evil = stream.size();
+  for (std::size_t i = 0; i < with_evil; ++i) {
+    if (rng.NextBool(0.5)) stream.push_back(stream[rng.NextBelow(with_evil)]);
+  }
+  rng.Shuffle(stream);
+
+  OnceOracle oracle(params.type);
+  for (const Operation& op : stream) oracle.Apply(op);
+  const Bytes expected = oracle.object.EncodeState();
+
+  const auto transforms = {"clone", "merge", "decode"};
+  for (const std::string transform : transforms) {
+    SCOPED_TRACE(transform);
+    const std::size_t cut = rng.NextBelow(stream.size() + 1);
+    const std::vector<Operation> head(stream.begin(),
+                                      stream.begin() + cut);
+    std::set<DedupKey> delivered;
+    CrdtObject replica("obj", params.type);
+    Deliver(rng, replica, head, delivered);
+
+    std::unique_ptr<CrdtObject> next;
+    if (transform == "clone") {
+      next = std::make_unique<CrdtObject>(replica.CloneObject());
+    } else if (transform == "merge") {
+      // Join the replica into one that saw a random other part.
+      next = std::make_unique<CrdtObject>("obj", params.type);
+      for (const Operation& op : stream) {
+        if (rng.NextBool(0.3)) {
+          next->ApplyOperation(op);
+          delivered.insert({op.id(), op.ContentDigest()});
+        }
+      }
+      next->MergeState(replica);
+    } else {
+      next = CrdtObject::DecodeState("obj", replica.EncodeState());
+      ASSERT_NE(next, nullptr);
+    }
+    // The whole stream again: its head and part of the rest are now
+    // re-deliveries.
+    Deliver(rng, *next, stream, delivered);
+    ASSERT_EQ(next->EncodeState(), expected);
+    // Reads materialize map slots: the oracle builds them in one pass, the
+    // replica partly incrementally (Deliver reads between applies).
+    EXPECT_EQ(next->Read().ToString(), oracle.object.Read().ToString());
+    for (const Operation& op : stream) {
+      for (std::size_t depth = 1; depth <= op.path.size(); ++depth) {
+        const std::vector<std::string> prefix(op.path.begin(),
+                                              op.path.begin() + depth);
+        ASSERT_EQ(next->Read(prefix).ToString(),
+                  oracle.object.Read(prefix).ToString());
+      }
+    }
+    // And once more at the end, with everything already absorbed.
+    for (const Operation& op : stream) {
+      ASSERT_FALSE(next->ApplyOperation(op)) << op.ToString();
+    }
+    ASSERT_EQ(next->EncodeState(), expected);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTypes, IdempotenceProperty,
+    testing::Values(IdempotenceParams{1, CrdtType::kGCounter},
+                    IdempotenceParams{2, CrdtType::kPNCounter},
+                    IdempotenceParams{3, CrdtType::kMVRegister},
+                    IdempotenceParams{4, CrdtType::kLWWRegister},
+                    IdempotenceParams{5, CrdtType::kORSet},
+                    IdempotenceParams{6, CrdtType::kMap},
+                    IdempotenceParams{7, CrdtType::kMap},
+                    IdempotenceParams{8, CrdtType::kMap},
+                    IdempotenceParams{9, CrdtType::kSequence},
+                    IdempotenceParams{10, CrdtType::kSequence}),
+    IdempotenceName);
 
 }  // namespace
 }  // namespace orderless::crdt

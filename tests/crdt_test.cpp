@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/rng.h"
 
 #include "crdt/leaf_nodes.h"
@@ -67,7 +69,7 @@ TEST(GCounter, DuplicateOperationIsIdempotent) {
   const Operation op = Add("c", 5, 1, 1);
   obj.ApplyOperations({op, op, op});
   EXPECT_EQ(obj.Read().counter, 5);
-  EXPECT_EQ(obj.applied_ops(), 1u);
+  EXPECT_EQ(obj.root().OpCount(), 1u);
 }
 
 TEST(GCounter, RejectsNonPositive) {
@@ -169,6 +171,50 @@ TEST(CounterState, GCounterDecodeRejectsNonPositiveAmounts) {
     ASSERT_NE(decoded, nullptr);
     EXPECT_EQ(decoded->Read().counter, 5 + amount);
   }
+}
+
+TEST(CounterState, BoundedTailMatchesSetReference) {
+  // Inserts in random order, with exact duplicates and equivocating amounts,
+  // far past several fold points. After every insert the set must agree
+  // with a std::set reference on size, total and encoding, and the tail
+  // must stay within its bound.
+  Rng rng(1313);
+  ContributionSet set;
+  std::set<ContributionSet::Entry> reference;
+  std::int64_t total = 0;
+  std::size_t folds = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const OpId id{1 + rng.NextBelow(8), 1 + rng.NextBelow(400),
+                  static_cast<std::uint32_t>(rng.NextBelow(2))};
+    const std::int64_t amount =
+        rng.NextBool(0.1) ? rng.NextInRange(-9, 9)
+                          : static_cast<std::int64_t>(id.counter % 7) + 1;
+    const ContributionSet::Entry e{id, amount};
+    const bool fresh = reference.insert(e).second;
+    if (fresh) total += amount;
+    const std::size_t tail_before = set.tail_size();
+    ASSERT_EQ(set.Insert(e), fresh) << i;
+    if (fresh && set.tail_size() <= tail_before) ++folds;
+    ASSERT_EQ(set.size(), reference.size()) << i;
+    ASSERT_EQ(set.total(), total) << i;
+    ASSERT_LE(set.tail_size(),
+              ContributionSet::MaxTail(set.size() - set.tail_size()))
+        << i;
+    // Encode folds the tail, so encode a copy to keep this set's layout.
+    codec::Writer got;
+    ContributionSet(set).Encode(got);
+    codec::Writer want;
+    want.PutVarint(reference.size());
+    for (const auto& [op, value] : reference) {
+      want.PutVarint(op.client);
+      want.PutVarint(op.counter);
+      want.PutU32(op.seq);
+      want.PutI64(value);
+    }
+    ASSERT_EQ(got.data(), want.data()) << i;
+  }
+  EXPECT_GE(folds, 8u);
+  EXPECT_LT(reference.size(), 4000u);  // the stream did repeat entries
 }
 
 TEST(CounterState, MergeMatchesApplyingTheUnion) {

@@ -94,6 +94,9 @@ TEST(Cache, ReadYourWrites) {
   EXPECT_EQ(cache.Read("c").counter, 8);
   EXPECT_EQ(cache.object_count(), 1u);
   EXPECT_EQ(cache.total_ops(), 2u);
+  // A re-delivery is absorbed by the state itself: nothing new is stored.
+  EXPECT_EQ(cache.Apply({CounterAdd("c", 3, 1, 2)}), 0u);
+  EXPECT_EQ(cache.StateEntries(), 2u);
 }
 
 TEST(Cache, MissingObjectReadsAbsent) {

@@ -367,6 +367,13 @@ TEST(TracedExperimentTest, RecordsEveryLifecyclePhase) {
   EXPECT_EQ(registry.counter("experiment.submitted").value(),
             result.metrics.submitted);
   EXPECT_GT(registry.counter("trace.phase.validate.count").value(), 0u);
+  // End-of-run state gauges: every committed modify sits in some org's
+  // commit index and CRDT state.
+  EXPECT_EQ(registry.gauge("state.crdt_entries").value(),
+            static_cast<double>(result.metrics.state.crdt_entries));
+  EXPECT_GT(result.metrics.state.crdt_entries, 0u);
+  EXPECT_GE(result.metrics.state.commit_index_entries,
+            result.metrics.committed_modify);
 }
 
 TEST(TracedExperimentTest, FilteredTracerRecordsOnlyRequestedKinds) {
