@@ -130,7 +130,7 @@ class Driver {
   virtual ~Driver() = default;
   virtual sim::Simulation& simulation() = 0;
   virtual std::size_t client_count() const = 0;
-  virtual void Submit(std::size_t client, bool read, const AppCall& call,
+  virtual void Submit(std::size_t client, bool read, AppCall call,
                       core::TxCallback callback) = 0;
   virtual void SetByzantineOrgs(std::uint32_t count,
                                 const core::ByzantineOrgBehavior& behavior) {
@@ -236,14 +236,16 @@ class OrderlessDriver final : public Driver {
   sim::Simulation& simulation() override { return net_->simulation(); }
   std::size_t client_count() const override { return net_->client_count(); }
 
-  void Submit(std::size_t client, bool read, const AppCall& call,
+  void Submit(std::size_t client, bool read, AppCall call,
               core::TxCallback callback) override {
     if (read) {
-      net_->client(client).SubmitRead(call.contract, call.function, call.args,
+      net_->client(client).SubmitRead(call.contract, call.function,
+                                      std::move(call.args),
                                       std::move(callback));
     } else {
       net_->client(client).SubmitModify(call.contract, call.function,
-                                        call.args, std::move(callback));
+                                        std::move(call.args),
+                                        std::move(callback));
     }
   }
 
@@ -386,14 +388,16 @@ class FabricDriver final : public Driver {
   sim::Simulation& simulation() override { return net_->simulation(); }
   std::size_t client_count() const override { return net_->client_count(); }
 
-  void Submit(std::size_t client, bool read, const AppCall& call,
+  void Submit(std::size_t client, bool read, AppCall call,
               core::TxCallback callback) override {
     if (read) {
-      net_->client(client).SubmitRead(call.contract, call.function, call.args,
+      net_->client(client).SubmitRead(call.contract, call.function,
+                                      std::move(call.args),
                                       std::move(callback));
     } else {
       net_->client(client).SubmitModify(call.contract, call.function,
-                                        call.args, std::move(callback));
+                                        std::move(call.args),
+                                        std::move(callback));
     }
   }
 
@@ -434,14 +438,16 @@ class BidlDriver final : public Driver {
   sim::Simulation& simulation() override { return net_->simulation(); }
   std::size_t client_count() const override { return net_->client_count(); }
 
-  void Submit(std::size_t client, bool read, const AppCall& call,
+  void Submit(std::size_t client, bool read, AppCall call,
               core::TxCallback callback) override {
     if (read) {
-      net_->client(client).SubmitRead(call.contract, call.function, call.args,
+      net_->client(client).SubmitRead(call.contract, call.function,
+                                      std::move(call.args),
                                       std::move(callback));
     } else {
       net_->client(client).SubmitModify(call.contract, call.function,
-                                        call.args, std::move(callback));
+                                        std::move(call.args),
+                                        std::move(callback));
     }
   }
 
@@ -486,14 +492,16 @@ class HsDriver final : public Driver {
   sim::Simulation& simulation() override { return net_->simulation(); }
   std::size_t client_count() const override { return net_->client_count(); }
 
-  void Submit(std::size_t client, bool read, const AppCall& call,
+  void Submit(std::size_t client, bool read, AppCall call,
               core::TxCallback callback) override {
     if (read) {
-      net_->client(client).SubmitRead(call.contract, call.function, call.args,
+      net_->client(client).SubmitRead(call.contract, call.function,
+                                      std::move(call.args),
                                       std::move(callback));
     } else {
       net_->client(client).SubmitModify(call.contract, call.function,
-                                        call.args, std::move(callback));
+                                        std::move(call.args),
+                                        std::move(callback));
     }
   }
 
@@ -561,74 +569,55 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     });
   }
 
-  // Uniformly distributed submissions at the requested arrival rate. Drawn
-  // up-front (one fixed RNG sequence), then scheduled onto each submitting
-  // client's lane with one metrics shard per client — shards are merged in
-  // client order after the run, in every mode, so the metrics document does
-  // not depend on the thread count.
+  // Uniformly distributed submissions at the requested arrival rate, one
+  // fixed RNG sequence. The engine draws each submission lazily, shortly
+  // before it is due, and schedules it onto the submitting client's lane
+  // with one metrics shard per client — shards are merged in client order
+  // after the run, in every mode, so the metrics document does not depend
+  // on the thread count.
   const WorkloadConfig& w = config.workload;
   const std::uint64_t total = static_cast<std::uint64_t>(
       w.arrival_tps * sim::ToSec(w.duration));
-  struct Planned {
-    sim::SimTime at = 0;
-    bool read = false;
-    std::size_t client = 0;
-    AppCall call;
-  };
-  std::vector<Planned> plan;
-  plan.reserve(total);
-  for (std::uint64_t i = 0; i < total; ++i) {
-    Planned p;
-    p.at = static_cast<sim::SimTime>(
-        (static_cast<double>(i) + rng.NextDouble()) / w.arrival_tps * 1e6);
-    p.read = rng.NextDouble() >= w.modify_fraction;
-    p.client = rng.NextBelow(driver->client_count());
-    p.call = DrawCall(config.app, p.read, w, rng);
-    plan.push_back(std::move(p));
-  }
-
   const std::size_t clients = std::max<std::size_t>(driver->client_count(), 1);
   std::vector<ExperimentMetrics> shards(clients);
-  std::vector<std::size_t> burst(clients, 0);
-  for (const Planned& p : plan) ++burst[p.client];
-  for (std::size_t c = 0; c < clients; ++c) {
-    if (burst[c] > 0) {
-      simulation.ReserveEventsFor(driver->ClientActor(c), burst[c]);
-    }
-  }
-
   Driver* d = driver.get();
-  for (const Planned& p : plan) {
-    ExperimentMetrics* m = &shards[p.client];
-    simulation.ScheduleAtFor(
-        d->ClientActor(p.client), p.at,
-        [d, m, &simulation, client = p.client, read = p.read,
-         call = p.call] {
-          ++m->submitted;
-          d->Submit(client, read, call,
-                    [m, read, &simulation](const core::TxOutcome& o) {
-                      if (o.committed) {
-                        const sim::SimTime now = simulation.now();
-                        if (m->first_commit == 0) {
-                          m->first_commit = now;
-                        }
-                        m->last_commit = now;
-                        m->per_second.Record(now);
-                        m->combined_latency.Record(o.latency);
-                        if (read) {
-                          ++m->committed_read;
-                          m->read_latency.Record(o.latency);
-                        } else {
-                          ++m->committed_modify;
-                          m->modify_latency.Record(o.latency);
-                        }
-                      } else {
-                        ++m->failed;
-                        if (o.rejected) ++m->rejected;
-                      }
-                    });
-        });
-  }
+  std::uint64_t drawn = 0;
+  simulation.AttachArrivals(total, [&, d](sim::Arrival& next) {
+    const double i = static_cast<double>(drawn++);
+    next.at = static_cast<sim::SimTime>((i + rng.NextDouble()) /
+                                        w.arrival_tps * 1e6);
+    const bool read = rng.NextDouble() >= w.modify_fraction;
+    const std::size_t client = rng.NextBelow(d->client_count());
+    AppCall call = DrawCall(config.app, read, w, rng);
+    ExperimentMetrics* m = &shards[client];
+    next.dst = d->ClientActor(client);
+    next.fn = [d, m, &simulation, client, read,
+               call = std::move(call)]() mutable {
+      ++m->submitted;
+      d->Submit(client, read, std::move(call),
+                [m, read, &simulation](const core::TxOutcome& o) {
+                  if (o.committed) {
+                    const sim::SimTime now = simulation.now();
+                    if (m->first_commit == 0) {
+                      m->first_commit = now;
+                    }
+                    m->last_commit = now;
+                    m->per_second.Record(now);
+                    m->combined_latency.Record(o.latency);
+                    if (read) {
+                      ++m->committed_read;
+                      m->read_latency.Record(o.latency);
+                    } else {
+                      ++m->committed_modify;
+                      m->modify_latency.Record(o.latency);
+                    }
+                  } else {
+                    ++m->failed;
+                    if (o.rejected) ++m->rejected;
+                  }
+                });
+    };
+  });
 
   simulation.RunUntil(w.duration + w.drain);
 

@@ -72,6 +72,8 @@ void Profiler::Fill(MetricsRegistry& registry) const {
   registry.counter("prof.arena.high_water_bytes")
       .Add(arena_.high_water_bytes);
   registry.counter("prof.arena.resets_with_use").Add(arena_.resets_with_use);
+  registry.counter("prof.queue.heap_peak").Add(queue_.heap_peak);
+  registry.counter("prof.queue.run_peak").Add(queue_.run_peak);
   registry.counter("prof.scratch.acquires").Add(scratch_.acquires);
   registry.counter("prof.scratch.pool_hits").Add(scratch_.pool_hits);
   registry.counter("prof.scratch.heap_allocs").Add(scratch_.heap_allocs);
@@ -138,6 +140,8 @@ std::string Profiler::RenderText() const {
           arena_.alloc_calls, arena_.chunk_allocs, ArenaHitRate() * 100.0,
           arena_.capacity_bytes, arena_.high_water_bytes,
           arena_.resets_with_use);
+  Appendf(out, "event-queue: heap peak %" PRIu64 "  run peak %" PRIu64 "\n",
+          queue_.heap_peak, queue_.run_peak);
   Appendf(out,
           "scratch-pool: acquires %" PRIu64 "  pool-hits %" PRIu64
           " (%.2f%%)  heap-allocs %" PRIu64 "  drops %" PRIu64 "\n",
@@ -167,6 +171,7 @@ void Profiler::Reset() {
   active_lane_sum_ = 0;
   pool_width_ns_ = 0;
   arena_ = ArenaSnapshot{};
+  queue_ = QueueSnapshot{};
   scratch_ = ScratchSnapshot{};
   crypto_ = CryptoSnapshot{};
   pipeline_ = PipelineSnapshot{};

@@ -37,6 +37,14 @@ struct ArenaSnapshot {
   std::uint64_t resets_with_use = 0;
 };
 
+/// Event-queue high-water marks (mirrors sim::Simulation's queue tiers):
+/// the 4-ary heap and the sorted run of time-ordered keys. Sequential runs
+/// report the one global queue, parallel runs their largest lane.
+struct QueueSnapshot {
+  std::uint64_t heap_peak = 0;
+  std::uint64_t run_peak = 0;
+};
+
 /// Pooled-ScratchWriter traffic (mirrors codec::ScratchPoolCounts; plain
 /// struct so obs never links codec — the harness copies the fields across).
 /// This is the allocator the arena perf toggle actually gates on today's
@@ -77,7 +85,7 @@ struct CryptoSnapshot {
 };
 
 // The methods sim::Simulation calls (BeginLanes, OnLaneSlice, OnEpoch,
-// SetArena) are defined inline: the engine keeps its pointer-only,
+// SetArena, SetQueue) are defined inline: the engine keeps its pointer-only,
 // no-link relationship with obs (same pattern as the tracer), while the
 // read-out side (Fill, RenderText) lives in prof.cpp inside orderless_obs.
 class Profiler {
@@ -115,6 +123,7 @@ class Profiler {
 
   /// Cumulative-counter snapshots (overwrite semantics).
   void SetArena(const ArenaSnapshot& arena) { arena_ = arena; }
+  void SetQueue(const QueueSnapshot& queue) { queue_ = queue; }
   void SetScratch(const ScratchSnapshot& scratch) { scratch_ = scratch; }
   void SetCrypto(const CryptoSnapshot& crypto) { crypto_ = crypto; }
   void SetPipeline(const PipelineSnapshot& pipeline) { pipeline_ = pipeline; }
@@ -127,6 +136,7 @@ class Profiler {
   std::uint64_t epoch_wall_ns() const { return wall_ns_; }
   std::uint64_t barrier_wait_ns() const { return barrier_wait_ns_; }
   const ArenaSnapshot& arena() const { return arena_; }
+  const QueueSnapshot& queue() const { return queue_; }
   const ScratchSnapshot& scratch() const { return scratch_; }
   const CryptoSnapshot& crypto() const { return crypto_; }
   const PipelineSnapshot& pipeline() const { return pipeline_; }
@@ -161,6 +171,7 @@ class Profiler {
   std::uint64_t active_lane_sum_ = 0;
   std::uint64_t pool_width_ns_ = 0;  // sum(wall_ns x pool width) per epoch
   ArenaSnapshot arena_;
+  QueueSnapshot queue_;
   ScratchSnapshot scratch_;
   CryptoSnapshot crypto_;
   PipelineSnapshot pipeline_;

@@ -23,6 +23,9 @@ EpochArena* Simulation::CurrentArena() {
 
 namespace {
 constexpr SimTime kNever = ~SimTime{0};
+// A client lane holds a few dozen pending timeouts at most; the sequential
+// queue's run doubles from here to its working size in a few steps.
+constexpr std::size_t kRunInitialCapacity = 16;
 
 using ProfClock = std::chrono::steady_clock;
 
@@ -107,6 +110,26 @@ void Simulation::SetProfiler(obs::Profiler* profiler) {
   if (profiler_) profiler_->BeginLanes(lanes_.size());
 }
 
+void Simulation::EventQueue::Reserve(std::size_t n) {
+  heap.reserve(heap.size() + n);
+  std::size_t capacity = run.empty() ? kRunInitialCapacity : run.size();
+  while (capacity < run_size + n) capacity *= 2;
+  if (capacity > run.size()) GrowRun(capacity);
+  slab.reserve(slab.size() + n);
+  // Pop recycles slots through free_slots, so a fully-reserved queue must
+  // pre-size it too or draining the burst still allocates.
+  free_slots.reserve(free_slots.size() + n);
+}
+
+void Simulation::EventQueue::GrowRun(std::size_t capacity) {
+  std::vector<Event> bigger(capacity);
+  for (std::size_t i = 0; i < run_size; ++i) {
+    bigger[i] = run[(run_head + i) & (run.size() - 1)];
+  }
+  run.swap(bigger);
+  run_head = 0;
+}
+
 // Hole-based sifts (heap[0] = earliest): one 32-byte key copy per level,
 // half the levels of a binary heap.
 void Simulation::EventQueue::Push(Event meta, SmallFn fn) {
@@ -118,7 +141,16 @@ void Simulation::EventQueue::Push(Event meta, SmallFn fn) {
     free_slots.pop_back();
     slab[meta.slot] = std::move(fn);
   }
+  if (run_size == 0 || !Later{}(RunBack(), meta)) {
+    if (run_size == run.size()) {
+      GrowRun(run.empty() ? kRunInitialCapacity : 2 * run.size());
+    }
+    run[(run_head + run_size) & (run.size() - 1)] = meta;
+    if (++run_size > run_peak) run_peak = run_size;
+    return;
+  }
   heap.emplace_back();
+  if (heap.size() > heap_peak) heap_peak = heap.size();
   std::size_t i = heap.size() - 1;
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
@@ -130,6 +162,13 @@ void Simulation::EventQueue::Push(Event meta, SmallFn fn) {
 }
 
 SmallFn Simulation::EventQueue::Pop(Event& meta_out) {
+  if (RunFirst()) {
+    meta_out = run[run_head];
+    run_head = (run_head + 1) & (run.size() - 1);
+    --run_size;
+    free_slots.push_back(meta_out.slot);
+    return std::move(slab[meta_out.slot]);
+  }
   meta_out = heap.front();
   const Event last = heap.back();
   heap.pop_back();
@@ -214,51 +253,131 @@ void Simulation::ScheduleImpl(Lane& src, SimTime base, ActorId dst,
 }
 
 void Simulation::ReserveEvents(std::size_t n) {
-  ReserveEventsFor(CurrentLane().index, n);
+  if (!mode_latched_) LatchMode();
+  (parallel_storage_ ? CurrentLane().queue : queue_).Reserve(n);
 }
 
-void Simulation::ReserveEventsFor(ActorId dst, std::size_t n) {
-  if (!mode_latched_) LatchMode();
-  if (parallel_storage_) {
-    if (dst >= lanes_.size()) dst = 0;
-    lanes_[dst]->queue.Reserve(n);
-    return;
+void Simulation::AttachArrivals(std::size_t count, ArrivalSource source) {
+  if ((tls_lane_ != nullptr && tls_lane_->owner == this) ||
+      arrivals_.remaining != 0) {
+    std::fprintf(stderr,
+                 "sim::Simulation: AttachArrivals needs the harness context "
+                 "and no live stream\n");
+    std::abort();
   }
-  // One global heap receives every per-actor burst, so successive
-  // reservations must accumulate instead of overwriting each other.
-  reserve_credit_ += n;
-  queue_.Reserve(reserve_credit_);
+  if (!mode_latched_) LatchMode();
+  if (count == 0) return;
+  Lane& harness = *lanes_.front();
+  arrivals_.source = std::move(source);
+  arrivals_.remaining = count;
+  arrivals_.next_seq = harness.next_seq;
+  harness.next_seq += count;
+  arrivals_.head.at = now_;  // the first arrival may not precede the clock
+  DrawHead();
 }
 
-bool Simulation::Step() {
-  if (!mode_latched_) LatchMode();
+SimTime Simulation::NextArrivalTime() const {
+  return arrivals_.remaining != 0 ? arrivals_.head.at : kNever;
+}
+
+// Pulls the next arrival into `head`. Unknown lanes map to lane 0, as in
+// ScheduleAtFor.
+void Simulation::DrawHead() {
+  Arrival& head = arrivals_.head;
+  const SimTime previous = head.at;
+  arrivals_.source(head);
+  if (head.at < previous) {
+    std::fprintf(stderr,
+                 "sim::Simulation: arrival stream went back in time (t=%llu "
+                 "after t=%llu)\n",
+                 static_cast<unsigned long long>(head.at),
+                 static_cast<unsigned long long>(previous));
+    std::abort();
+  }
+  if (head.dst >= lanes_.size()) head.dst = 0;
+}
+
+void Simulation::PushArrival() {
+  Arrival& head = arrivals_.head;
+  Event meta;
+  meta.time = head.at;
+  meta.dst = head.dst;
+  meta.src = 0;
+  meta.seq = arrivals_.next_seq++;
+  EventQueue& queue = parallel_storage_ ? lanes_[meta.dst]->queue : queue_;
+  queue.Push(meta, std::move(head.fn));
+  if (--arrivals_.remaining != 0) {
+    DrawHead();
+  } else {
+    arrivals_.source = nullptr;
+  }
+}
+
+// Pushes every arrival that could precede or tie the earliest queued event
+// (`queued_front`, kNever when nothing is queued): afterwards the queues'
+// minimum is the global minimum, because every undrawn arrival is strictly
+// later than it.
+void Simulation::DrawArrivals(SimTime queued_front) {
+  const SimTime through = std::min(queued_front, NextArrivalTime());
+  while (arrivals_.remaining != 0 && arrivals_.head.at <= through) {
+    PushArrival();
+  }
+}
+
+// Sequential engine: true when the canonically-earliest event is due at or
+// before `until`.
+bool Simulation::NextSequential(SimTime until) {
+  if (arrivals_.remaining != 0) {
+    DrawArrivals(queue_.empty() ? kNever : queue_.front().time);
+  }
+  return !queue_.empty() && queue_.front().time <= until;
+}
+
+void Simulation::ExecuteSequential() {
   // Profiler-off runs take the `prof == nullptr` branches only: one
   // pointer test per event, no clock reads, no allocations.
   obs::Profiler* const prof = profiler_;
   ProfClock::time_point t0;
+  Event meta;
+  SmallFn fn = queue_.Pop(meta);
+  now_ = meta.time;
+  Lane& lane = *lanes_[meta.dst < lanes_.size() ? meta.dst : 0];
+  lane.now = meta.time;
+  ++processed_;
+  tls_lane_ = &lane;
+  if (prof) {
+    prof->BeginLanes(lanes_.size());
+    t0 = ProfClock::now();
+  }
+  fn();
+  lane.arena.Reset();
+  if (prof) {
+    prof->OnLaneSlice(lane.index, 1, NsBetween(t0, ProfClock::now()));
+  }
+  tls_lane_ = nullptr;
+}
+
+bool Simulation::Step() {
+  if (!mode_latched_) LatchMode();
   if (!parallel_storage_) {
-    if (queue_.empty()) return false;
-    Event meta;
-    SmallFn fn = queue_.Pop(meta);
-    now_ = meta.time;
-    Lane& lane = *lanes_[meta.dst < lanes_.size() ? meta.dst : 0];
-    lane.now = meta.time;
-    ++processed_;
-    tls_lane_ = &lane;
-    if (prof) {
-      prof->BeginLanes(lanes_.size());
-      t0 = ProfClock::now();
-    }
-    fn();
-    lane.arena.Reset();
-    if (prof) {
-      prof->OnLaneSlice(lane.index, 1, NsBetween(t0, ProfClock::now()));
-    }
-    tls_lane_ = nullptr;
+    if (!NextSequential(kNever)) return false;
+    ExecuteSequential();
     return true;
   }
+  obs::Profiler* const prof = profiler_;
+  ProfClock::time_point t0;
   // Parallel storage, exclusive step: pop the canonically-earliest event
-  // across all lane heaps (tests and tools that single-step stay exact).
+  // across all lane queues (tests and tools that single-step stay exact),
+  // after drawing every arrival that could precede it.
+  if (arrivals_.remaining != 0) {
+    SimTime earliest = kNever;
+    for (const auto& lane : lanes_) {
+      if (!lane->queue.empty()) {
+        earliest = std::min(earliest, lane->queue.front().time);
+      }
+    }
+    DrawArrivals(earliest);
+  }
   Lane* best = nullptr;
   for (const auto& lane : lanes_) {
     if (lane->queue.empty()) continue;
@@ -292,7 +411,7 @@ void Simulation::RunUntil(SimTime until) {
     RunParallel(until);
     return;
   }
-  while (!queue_.empty() && queue_.front().time <= until) Step();
+  while (NextSequential(until)) ExecuteSequential();
   if (now_ < until) now_ = until;
   if (profiler_) SampleProfilerArena();
 }
@@ -303,13 +422,12 @@ void Simulation::RunUntilIdle() {
     RunParallel(kNever);
     return;
   }
-  while (Step()) {
-  }
+  while (NextSequential(kNever)) ExecuteSequential();
   if (profiler_) SampleProfilerArena();
 }
 
 std::size_t Simulation::pending() const {
-  std::size_t n = queue_.size();
+  std::size_t n = queue_.size() + arrivals_.remaining;
   for (const auto& lane : lanes_) {
     n += lane->queue.size() + lane->outbox.size();
   }
@@ -323,13 +441,16 @@ void Simulation::RunParallel(SimTime until) {
   if (profiler_) profiler_->BeginLanes(lanes_.size());
   std::vector<Lane*> active;
   for (;;) {
-    SimTime next = kNever;
+    SimTime next = NextArrivalTime();
     for (const auto& lane : lanes_) {
       if (!lane->queue.empty()) {
         next = std::min(next, lane->queue.front().time);
       }
     }
     if (next == kNever || next > until) break;
+    // Arrivals due at `next` join their lanes first, so a harness-lane
+    // arrival at this instant runs in the barrier below.
+    DrawArrivals(next);
 
     // The harness lane runs exclusively: fault injection, restarts and
     // Byzantine phase flips mutate shared structures (network handlers,
@@ -348,6 +469,13 @@ void Simulation::RunParallel(SimTime until) {
       end = std::min(end, harness.queue.front().time);
     }
     if (until < kNever) end = std::min(end, until + 1);
+    // Arrivals due inside the epoch join their lanes now. One bound for the
+    // harness lane ends the epoch at its time, exactly like a queued harness
+    // event; later arrivals stay undrawn (the stream is time-ordered).
+    while (arrivals_.remaining != 0 && arrivals_.head.at < end) {
+      if (arrivals_.head.dst == 0) end = arrivals_.head.at;
+      PushArrival();
+    }
 
     active.clear();
     for (std::size_t i = 1; i < lanes_.size(); ++i) {
@@ -487,6 +615,16 @@ void Simulation::SampleProfilerArena() {
     snap.resets_with_use += lane->arena.resets_with_use();
   }
   profiler_->SetArena(snap);
+  // Sequential mode keeps every event in queue_; parallel mode reports its
+  // largest lane.
+  obs::QueueSnapshot queue{queue_.heap_peak, queue_.run_peak};
+  for (const auto& lane : lanes_) {
+    queue.heap_peak = std::max<std::uint64_t>(queue.heap_peak,
+                                              lane->queue.heap_peak);
+    queue.run_peak = std::max<std::uint64_t>(queue.run_peak,
+                                             lane->queue.run_peak);
+  }
+  profiler_->SetQueue(queue);
 }
 
 void Simulation::EnsureWorkers() {

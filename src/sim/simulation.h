@@ -201,6 +201,18 @@ class SmallFn {
   const Ops* ops_ = nullptr;
 };
 
+/// One open-loop arrival: `fn` runs on lane `dst` at `at`.
+struct Arrival {
+  SimTime at = 0;
+  ActorId dst = 0;
+  SmallFn fn;
+};
+
+/// Pull source of open-loop arrivals: each call overwrites its argument with
+/// the next arrival. Times must be non-decreasing from call to call and no
+/// earlier than the clock at attach; the engine aborts otherwise.
+using ArrivalSource = std::function<void(Arrival&)>;
+
 class Simulation {
  public:
   Simulation();
@@ -281,6 +293,17 @@ class Simulation {
   void ScheduleFor(ActorId dst, SimTime delay, SmallFn fn);
   void ScheduleAtFor(ActorId dst, SimTime when, SmallFn fn);
 
+  /// Streams `count` open-loop arrivals from `source` into the engine. The
+  /// result is exactly that of calling ScheduleAtFor(a.dst, a.at, a.fn) for
+  /// every arrival, in stream order, from the harness lane right now: the
+  /// call reserves `count` harness-lane sequence numbers, so arrival i gets
+  /// the canonical key the i-th such call would have drawn. Arrivals are
+  /// drawn lazily, just before the engine could execute them, so a long
+  /// open-loop run holds only its near-term submissions in memory. Call it
+  /// outside events; one stream may be live at a time. pending() counts the
+  /// undrawn arrivals.
+  void AttachArrivals(std::size_t count, ArrivalSource source);
+
   /// Runs the earliest event (canonical order) exclusively; returns false
   /// when no events remain. Steps never run epochs in parallel.
   bool Step();
@@ -298,17 +321,10 @@ class Simulation {
   }
   std::size_t pending() const;
 
-  /// Hint for bursty schedulers (benchmark harnesses pre-plan the whole
-  /// workload): grows the event storage once instead of amortized doubling.
-  /// Applies to the current lane's queue — use ReserveEventsFor when the
-  /// burst targets a specific actor, or the reservation lands on the wrong
-  /// heap in parallel mode.
+  /// Hint for bursty schedulers: grows the current lane's event storage
+  /// (the one global queue in sequential mode) once for `n` more events
+  /// instead of amortized doubling.
   void ReserveEvents(std::size_t n);
-
-  /// Reserves capacity on the queue that will actually receive a burst of
-  /// `n` events for `dst`. Sequential mode accumulates the per-actor
-  /// reservations into the one global heap.
-  void ReserveEventsFor(ActorId dst, std::size_t n);
 
   /// Observability hook. Components record through `tracer()` when it is
   /// non-null; the tracer never schedules events or influences protocol
@@ -372,27 +388,59 @@ class Simulation {
     }
   };
 
-  /// 4-ary min-heap of keys over a slot-addressed callback slab. Hole-based
-  /// sifts move one 32-byte key per level; a callback is touched exactly
-  /// twice — moved in on Push, moved out on Pop.
+  /// Keys in two tiers over a slot-addressed callback slab: a 4-ary
+  /// min-heap, and a sorted run — a ring buffer of keys in canonical order.
+  /// A push whose key is not earlier than the run's back is appended to the
+  /// run in O(1); any other push sifts into the heap. Fixed-delay timers
+  /// (client timeouts armed at now + 4 s, never cancelled) arrive in time
+  /// order, so they land in the run and the heap keeps only the near-term
+  /// events. Front and Pop take the earlier of the two fronts, so the queue
+  /// pops the canonical order whatever tier holds a key. Hole-based sifts
+  /// move one 32-byte key per level; a callback is touched exactly twice —
+  /// moved in on Push, moved out on Pop.
   struct EventQueue {
     std::vector<Event> heap;
+    // Ring buffer: capacity 0 or a power of two, so an empty run (most
+    // client lanes in parallel mode) owns no storage.
+    std::vector<Event> run;
+    std::size_t run_head = 0;
+    std::size_t run_size = 0;
     std::vector<SmallFn> slab;
     std::vector<std::uint32_t> free_slots;
+    // High-water marks of each tier (host-side diagnostics; the profiler
+    // reports them as prof.queue.*).
+    std::size_t heap_peak = 0;
+    std::size_t run_peak = 0;
 
-    bool empty() const { return heap.empty(); }
-    std::size_t size() const { return heap.size(); }
-    const Event& front() const { return heap.front(); }
-    void Reserve(std::size_t n) {
-      heap.reserve(heap.size() + n);
-      slab.reserve(slab.size() + n);
-      // Pop recycles slots through free_slots, so a fully-reserved queue
-      // must pre-size it too or draining the burst still allocates.
-      free_slots.reserve(free_slots.size() + n);
+    bool empty() const { return heap.empty() && run_size == 0; }
+    std::size_t size() const { return heap.size() + run_size; }
+    const Event& front() const {
+      return RunFirst() ? run[run_head] : heap.front();
     }
+    void Reserve(std::size_t n);
     void Push(Event meta, SmallFn fn);
     /// Pops the canonically-earliest event; `meta_out` receives its key.
     SmallFn Pop(Event& meta_out);
+
+   private:
+    // True when the run's front is the queue's front.
+    bool RunFirst() const {
+      return run_size != 0 &&
+             (heap.empty() || Later{}(heap.front(), run[run_head]));
+    }
+    const Event& RunBack() const {
+      return run[(run_head + run_size - 1) & (run.size() - 1)];
+    }
+    void GrowRun(std::size_t capacity);
+  };
+
+  // The live arrival stream: `head` is the next undrawn arrival, valid
+  // while remaining > 0.
+  struct ArrivalStream {
+    ArrivalSource source;
+    std::size_t remaining = 0;
+    std::uint64_t next_seq = 0;  // harness-lane seq of `head`
+    Arrival head;
   };
 
   // A cross-lane send buffered during an epoch: not yet slotted into the
@@ -431,6 +479,12 @@ class Simulation {
   }
   void ScheduleImpl(Lane& src, SimTime base, ActorId dst, SimTime when,
                     SmallFn fn);
+  SimTime NextArrivalTime() const;
+  void DrawHead();
+  void PushArrival();
+  void DrawArrivals(SimTime queued_front);
+  bool NextSequential(SimTime until);
+  void ExecuteSequential();
   void RunParallel(SimTime until);
   void RunLaneEpoch(Lane& lane, SimTime end);
   void RunHarnessBarrier(SimTime at);
@@ -452,7 +506,7 @@ class Simulation {
   // canonical key is a strict total order (seq is unique per source lane),
   // so every heap layout pops the same sequence.
   EventQueue queue_;  // sequential-mode storage
-  std::size_t reserve_credit_ = 0;
+  ArrivalStream arrivals_;
 
   std::vector<std::unique_ptr<Lane>> lanes_;  // [0] = harness lane
   // Node → lane, indexed directly: node ids are small and dense, and the

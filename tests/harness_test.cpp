@@ -2,6 +2,8 @@
 // table rendering, workload accounting, and the Byzantine-phase scheduler.
 #include <gtest/gtest.h>
 
+#include "codec/codec.h"
+#include "crypto/sha256.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
 
@@ -120,6 +122,48 @@ TEST(ExperimentTest, AveragedPointRunsMultipleSeeds) {
   EXPECT_GT(p.read_avg_ms, 0.0);
   EXPECT_LT(p.read_avg_ms, p.modify_avg_ms);
   EXPECT_EQ(p.failed_fraction, 0.0);
+}
+
+// Golden pin for the sequential engine: a reads8_byz-shaped experiment
+// (8 orgs, EP{2 of 8}, R90M10, org 0 Byzantine from t=0, client avoidance
+// and retries, 1 engine thread) at reduced duration must keep producing
+// exactly the outcome recorded before open-loop arrivals were streamed into
+// the event queue. Any change to the event order — arrival keys, timer
+// placement, tie-breaking — moves one of these numbers.
+TEST(ExperimentGolden, Reads8ByzShapedSequentialRunMatchesRecordedOutcome) {
+  ExperimentConfig c;
+  c.num_orgs = 8;
+  c.policy = core::EndorsementPolicy{2, 8};
+  c.workload.arrival_tps = 6000;
+  c.workload.duration = sim::Sec(2);
+  c.workload.modify_fraction = 0.1;
+  c.workload.num_clients = 1200;
+  c.byzantine_phases = {{0, 1}};
+  c.byzantine_org_behavior.ignore_proposal_prob = 0.5;
+  c.byzantine_org_behavior.wrong_endorse_prob = 0.5;
+  c.client_avoidance = true;
+  c.client_max_attempts = 3;
+  c.threads = 1;
+  c.seed = 1;
+  const ExperimentResult r = RunExperiment(c);
+
+  // Recorded on the up-front submission plan (same config and seed).
+  codec::Writer heads;
+  for (const crypto::Digest& head : r.org_chain_heads) {
+    heads.PutBytes(head.View());
+  }
+  const std::uint64_t heads_fingerprint =
+      crypto::Sha256::Hash(BytesView(heads.data())).Prefix64();
+  EXPECT_EQ(r.metrics.submitted, 12000u);
+  EXPECT_EQ(r.metrics.committed_modify, 1231u);
+  EXPECT_EQ(r.metrics.committed_read, 10769u);
+  EXPECT_EQ(r.metrics.failed, 0u);
+  EXPECT_EQ(r.metrics.robustness.client_retries, 1623u);
+  EXPECT_EQ(r.events_processed, 163542u);
+  EXPECT_EQ(r.metrics.modify_latency.SumUs(), 1066825510u);
+  EXPECT_EQ(r.metrics.read_latency.SumUs(), 6478422014u);
+  ASSERT_EQ(r.org_chain_heads.size(), 8u);
+  EXPECT_EQ(heads_fingerprint, 0xae8cc1005024bdd2ULL);
 }
 
 }  // namespace
