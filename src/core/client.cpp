@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "codec/scratch.h"
-#include "core/perf.h"
 #include "obs/trace.h"
 
 namespace orderless::core {
@@ -280,7 +279,7 @@ void Client::StartEndorsePhase(Pending& p) {
   (void)p.proposal.Digest();
   const bool mutate_per_org =
       byzantine_.active && byzantine_.inconsistent_clocks;
-  if (perf::ArenaEnabled() && !mutate_per_org) {
+  if (!mutate_per_org) {
     // Honest proposals are identical for every organization: one immutable
     // message fans out to all q sends. The digest cache is warm, so the
     // receiving lanes only ever read the shared proposal.
@@ -299,14 +298,12 @@ void Client::StartEndorsePhase(Pending& p) {
     return;
   }
   for (std::size_t i = 0; i < p.chosen.size(); ++i) {
+    // Byzantine fault (3): different logical timestamps per organization;
+    // the endorsements cannot match and no valid transaction forms. The
+    // in-place mutation voids the copied digest cache.
     Proposal proposal = p.proposal;
-    if (mutate_per_org) {
-      // Byzantine fault (3): different logical timestamps per organization;
-      // the endorsements cannot match and no valid transaction forms. The
-      // in-place mutation voids the copied digest cache.
-      proposal.clock.counter += i;
-      proposal.InvalidateCache();
-    }
+    proposal.clock.counter += i;
+    proposal.InvalidateCache();
     route_[proposal.Digest()] = p.seq;
     if (obs::Tracer* t = simulation_.tracer()) {
       t->Instant(obs::EventKind::kProposalSend, simulation_.now(), node_,
@@ -386,34 +383,28 @@ void Client::HandleEndorseReply(sim::NodeId from, const EndorseReplyMsg& msg) {
       // inherit the honest digest.
       crypto::Digest ws;
       bool have_ws = false;
-      if (perf::ArenaEnabled()) {
-        // The canonical encoding is injective, so comparing ops vectors
-        // directly is equivalent to comparing encoded bytes: the all-honest
-        // case groups q replies with q-1 vector compares (no allocation)
-        // and a single encode+hash for the first reply.
-        for (const auto& [digest, existing] : p.groups) {
-          if (existing.ops == msg.ops) {
-            ws = digest;
-            have_ws = true;
-            break;
-          }
+      // The canonical encoding is injective, so comparing ops vectors
+      // directly is equivalent to comparing encoded bytes: the all-honest
+      // case groups q replies with q-1 vector compares (no allocation)
+      // and a single encode+hash for the first reply.
+      for (const auto& [digest, existing] : p.groups) {
+        if (existing.ops == msg.ops) {
+          ws = digest;
+          have_ws = true;
+          break;
         }
       }
       if (!have_ws) {
-        if (perf::MemoEnabled()) {
-          codec::ScratchWriter w;
-          w->Reserve(16 + msg.ops.size() * 64);
-          crdt::EncodeOperations(msg.ops, *w);
-          if (!p.last_ops_encoding.empty() &&
-              w->data() == p.last_ops_encoding) {
-            ws = p.last_ops_digest;
-          } else {
-            ws = crypto::Sha256::Hash(BytesView(w->data()));
-            p.last_ops_encoding = w->Take();
-            p.last_ops_digest = ws;
-          }
+        codec::ScratchWriter w;
+        w->Reserve(16 + msg.ops.size() * 64);
+        crdt::EncodeOperations(msg.ops, *w);
+        if (!p.last_ops_encoding.empty() &&
+            w->data() == p.last_ops_encoding) {
+          ws = p.last_ops_digest;
         } else {
-          ws = WriteSetDigest(msg.ops);
+          ws = crypto::Sha256::Hash(BytesView(w->data()));
+          p.last_ops_encoding = w->Take();
+          p.last_ops_digest = ws;
         }
       }
       auto& group = p.groups[ws];
@@ -525,25 +516,15 @@ void Client::StartCommitPhase(Pending& p, Pending::WsGroup group) {
 
 void Client::SendCommits(Pending& p) {
   // One immutable message serves every commit target (receivers only read);
-  // the simulated wire cost is still charged per link. Legacy keeps per-org
-  // copies so the A/B baseline reflects the old allocation profile.
-  std::shared_ptr<CommitMsg> shared;
+  // the simulated wire cost is still charged per link.
+  auto shared = std::make_shared<CommitMsg>();
+  shared->tx = p.tx;
   for (std::size_t idx : p.commit_targets) {
     if (obs::Tracer* t = simulation_.tracer()) {
       t->Instant(obs::EventKind::kCommitSend, simulation_.now(), node_,
                  p.tx->id.Prefix64(), org_nodes_[idx]);
     }
-    if (perf::ArenaEnabled()) {
-      if (!shared) {
-        shared = std::make_shared<CommitMsg>();
-        shared->tx = p.tx;
-      }
-      network_.Send(node_, org_nodes_[idx], shared);
-    } else {
-      auto msg = std::make_shared<CommitMsg>();
-      msg->tx = p.tx;
-      network_.Send(node_, org_nodes_[idx], msg);
-    }
+    network_.Send(node_, org_nodes_[idx], shared);
   }
   ArmTimeout(p, timing_.commit_timeout);
 }

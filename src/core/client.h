@@ -145,8 +145,8 @@ class Client {
     std::map<crypto::Digest, WsGroup> groups;
     // Host-side hash-once cache: honest endorsers return byte-identical
     // write-sets, so the q-th..n-th replies reuse the digest of the first
-    // instead of re-hashing (exact byte comparison guards the reuse; see
-    // core/perf.h). Reset with `groups` at the start of each attempt.
+    // instead of re-hashing (exact byte comparison guards the reuse).
+    // Reset with `groups` at the start of each attempt.
     Bytes last_ops_encoding;
     crypto::Digest last_ops_digest;
     std::set<std::size_t> replied;

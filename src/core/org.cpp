@@ -4,7 +4,6 @@
 #include <iterator>
 #include <unordered_set>
 
-#include "core/perf.h"
 #include "core/pipeline.h"
 #include "core/validation_cache.h"
 #include "crdt/object.h"
@@ -506,22 +505,14 @@ void Organization::HandleProposal(sim::NodeId from,
     }
   }
 
-  if (perf::ArenaEnabled()) {
-    // The 16-byte shared_ptr capture fits the closure's inline buffer and
-    // borrows the delivered message — no Proposal deep copies. The sender
-    // warms the proposal's digest cache before the send, so even a message
-    // fanned out to several organizations is only ever read here.
-    cpu_.Submit(exec_service,
-                sim::TriviallyRelocatable{[this, from, msg, arrival] {
-                  ExecuteProposal(from, msg->proposal, arrival);
-                }});
-  } else {
-    // Legacy allocation profile for the A/B: copy into the closure.
-    const Proposal copy = proposal;
-    cpu_.Submit(exec_service, [this, from, copy, arrival] {
-      ExecuteProposal(from, copy, arrival);
-    });
-  }
+  // The 16-byte shared_ptr capture fits the closure's inline buffer and
+  // borrows the delivered message — no Proposal deep copies. The sender
+  // warms the proposal's digest cache before the send, so even a message
+  // fanned out to several organizations is only ever read here.
+  cpu_.Submit(exec_service,
+              sim::TriviallyRelocatable{[this, from, msg, arrival] {
+                ExecuteProposal(from, msg->proposal, arrival);
+              }});
 }
 
 void Organization::ExecuteProposal(sim::NodeId from, const Proposal& proposal,
@@ -628,10 +619,8 @@ void Organization::PipeAdmit(const std::shared_ptr<const Transaction>& tx) {
   pipe_pending_.emplace(tx->id, std::move(objects));
   // Only independent commits are eligible for out-of-order host
   // verification; conflicting ones stay on this lane in canonical event
-  // order. The hub also needs the sealed digest caches (memo on) for
-  // thief-thread reads, and only exists in parallel runs.
-  if (independent && perf::PipelineEnabled() && perf::MemoEnabled() &&
-      timing_.commit_pipeline) {
+  // order. The hub only exists in parallel runs.
+  if (independent && timing_.commit_pipeline) {
     timing_.commit_pipeline->Publish(tx);
   }
 }
@@ -737,9 +726,7 @@ void Organization::HandleCommit(sim::NodeId from,
       // only skips the host-side hashing when another organization already
       // verified byte-identical content (see validation_cache.h).
       TxVerdict verdict;
-      ValidationMemo* memo = perf::MemoEnabled() && timing_.validation_memo
-                                 ? timing_.validation_memo.get()
-                                 : nullptr;
+      ValidationMemo* memo = timing_.validation_memo.get();
       const auto cached = memo ? memo->LookupFor(node_, tx) : std::nullopt;
       if (cached) {
         verdict = *cached;
@@ -748,12 +735,9 @@ void Organization::HandleCommit(sim::NodeId from,
         // have verified this exact body — reuse its verdict instead of
         // redoing the signature work. The memo store below is unchanged, so
         // memo contents (and everything simulated) are bit-identical with
-        // the hub bypassed.
+        // or without the hub.
         std::optional<TxVerdict> hub;
-        if (perf::PipelineEnabled() && perf::MemoEnabled() &&
-            timing_.commit_pipeline) {
-          hub = timing_.commit_pipeline->Resolve(tx);
-        }
+        if (timing_.commit_pipeline) hub = timing_.commit_pipeline->Resolve(tx);
         verdict = hub ? *hub
                       : ValidateTransaction(*tx, pki_, org_keys_, policy_);
         if (memo) memo->StoreFor(node_, tx, verdict);
@@ -875,22 +859,10 @@ void Organization::FinishCommit(sim::NodeId from,
       ++committed_count_;
       committed_xor_ ^= tx->id.Prefix64();
       // Persist the body so a restart can keep serving syncs for it. The
-      // canonical encoding is cached on the transaction, so the n
-      // organizations committing the same gossiped tx serialize it once
-      // between them instead of once each.
-      if (perf::MemoEnabled()) {
-        if (perf::ArenaEnabled()) {
-          // Zero-copy: the store adopts the sealed canonical encoding the
-          // transaction already carries instead of duplicating the bytes.
-          ledger_.PutTransactionBodyRef(tx->id, tx->SharedEncoding());
-        } else {
-          ledger_.PutTransactionBody(tx->id, tx->EncodedBody());
-        }
-      } else {
-        codec::Writer w;
-        tx->Encode(w);
-        ledger_.PutTransactionBody(tx->id, BytesView(w.data()));
-      }
+      // store adopts the sealed canonical encoding the transaction already
+      // carries, so the n organizations committing the same gossiped tx
+      // serialize it once between them and copy it not at all.
+      ledger_.PutTransactionBodyRef(tx->id, tx->SharedEncoding());
     }
   }
   if (commit_observer_) commit_observer_(*tx, verdict);

@@ -165,8 +165,7 @@ struct OrgTimingConfig {
   /// simulation workers steal and batch-verify them while the simulated
   /// validate service elapses; the memo above still records every verdict,
   /// so memo contents and all simulated results are bit-identical with the
-  /// hub absent or the pipeline toggle off. Null = inline validation only
-  /// (sequential runs, `--no-pipeline`).
+  /// hub absent. Null = inline validation only (sequential runs).
   std::shared_ptr<CommitPipeline> commit_pipeline;
 
   /// Ledger retention knobs (benchmarks use lightweight settings).
@@ -333,8 +332,9 @@ class Organization {
   /// host-side signature verification may run out of order (published to
   /// the shared CommitPipeline hub for idle workers to steal); a
   /// conflicting commit is validated inline on this lane in canonical
-  /// event order. Pure simulated-state bookkeeping: runs identically with
-  /// the pipeline on or off, so the kPipeAdmit trace is bit-identical too.
+  /// event order. Pure simulated-state bookkeeping: runs identically with or
+  /// without a hub (sequential runs), so the kPipeAdmit trace is
+  /// bit-identical at any thread count.
   void PipeAdmit(const std::shared_ptr<const Transaction>& tx);
   /// Releases the admission record (commit finished, deduplicated away, or
   /// covered by a checkpoint install mid-pipeline).

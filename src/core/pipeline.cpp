@@ -4,8 +4,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/perf.h"
-
 namespace orderless::core {
 
 namespace {

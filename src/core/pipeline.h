@@ -34,8 +34,8 @@
 // byte-equality guard the validation memo uses, and falls back to inline
 // validation). Every simulated decision, service charge, trace event and
 // memo store happens on the org's lane in canonical order, so results are
-// bit-identical at any thread count and with the pipeline off
-// (`--no-pipeline`; see perf::PipelineEnabled).
+// bit-identical at any thread count and to a sequential run, which has no
+// hub.
 //
 // Threading contract: Publish/Resolve run on simulation lanes and DrainOne
 // runs on idle workers, all strictly *inside* an epoch; Sweep runs at epoch

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "codec/scratch.h"
-#include "core/perf.h"
 
 namespace orderless::core {
 
@@ -44,27 +43,19 @@ std::optional<Proposal> Proposal::Decode(codec::Reader& r) {
 }
 
 crypto::Digest Proposal::Digest() const {
-  if (cached_ && perf::MemoEnabled()) return cached_digest_;
+  if (cached_) return cached_digest_;
   codec::ScratchWriter w;
   w->Reserve(32 + contract.size() + function.size() + args.size() * 16);
   Encode(*w);
-  const crypto::Digest d = crypto::Sha256::Hash(BytesView(w->data()));
-  if (perf::MemoEnabled()) {
-    cached_digest_ = d;
-    cached_wire_size_ = w->size();
-    cached_ = true;
-  }
-  return d;
+  cached_digest_ = crypto::Sha256::Hash(BytesView(w->data()));
+  cached_wire_size_ = w->size();
+  cached_ = true;
+  return cached_digest_;
 }
 
 std::size_t Proposal::WireSize() const {
-  if (perf::MemoEnabled()) {
-    if (!cached_) (void)Digest();  // one encode stamps both digest and size
-    return cached_wire_size_;
-  }
-  codec::ScratchWriter w;
-  Encode(*w);
-  return w->size();
+  if (!cached_) (void)Digest();  // one encode stamps both digest and size
+  return cached_wire_size_;
 }
 
 crypto::Digest WriteSetDigest(const std::vector<crdt::Operation>& ops) {
@@ -101,17 +92,14 @@ std::shared_ptr<Transaction> Transaction::Assemble(
   tx->endorsements = std::move(endorsements);
   tx->id = ComputeId(tx->ProposalDigest(), tx->OpsDigest());
   tx->client_signature = client_key.Sign(kTxContext, tx->id);
-  // Seal every lazily-filled cache while the client still holds the only
-  // reference: one Transaction object is shared across the q commit
-  // recipients (and re-shared by gossip), so under parallel execution
-  // several org lanes read these fields concurrently. Sealed here, those
-  // reads are immutable; nothing mutates a Transaction after assembly.
+  // Seal every lazily-filled cache (ComputeId above filled the digests)
+  // while the client still holds the only reference: one Transaction object
+  // is shared across the q commit recipients (and re-shared by gossip), so
+  // under parallel execution several org lanes read these fields
+  // concurrently. Sealed here, those reads are immutable; nothing mutates a
+  // Transaction after assembly.
   tx->EncodedBody();
   tx->WireSize();
-  if (perf::MemoEnabled()) {
-    tx->ProposalDigest();
-    tx->OpsDigest();
-  }
   return tx;
 }
 
@@ -130,16 +118,10 @@ void EncodeTransactionFields(const Transaction& tx, codec::Writer& w) {
 }  // namespace
 
 void Transaction::Encode(codec::Writer& w) const {
-  if (perf::MemoEnabled()) {
-    w.PutRaw(EncodedBody());
-    return;
-  }
-  EncodeTransactionFields(*this, w);
+  w.PutRaw(EncodedBody());
 }
 
 BytesView Transaction::EncodedBody() const {
-  // Populated even with the memo off: callers hold the returned view past
-  // this call, so it must always point at owned storage.
   if (!cached_encoding_) {
     codec::Writer w;
     w.Reserve(WireSize() + endorsements.size() * 16 + 32);
@@ -157,13 +139,11 @@ std::shared_ptr<const Bytes> Transaction::SharedEncoding() const {
 crypto::Digest Transaction::ProposalDigest() const { return proposal.Digest(); }
 
 crypto::Digest Transaction::OpsDigest() const {
-  if (ops_digest_cached_ && perf::MemoEnabled()) return cached_ops_digest_;
-  const crypto::Digest d = WriteSetDigest(ops);
-  if (perf::MemoEnabled()) {
-    cached_ops_digest_ = d;
+  if (!ops_digest_cached_) {
+    cached_ops_digest_ = WriteSetDigest(ops);
     ops_digest_cached_ = true;
   }
-  return d;
+  return cached_ops_digest_;
 }
 
 namespace {
@@ -251,7 +231,7 @@ TxVerdict ValidateTransaction(const Transaction& tx, const crypto::Pki& pki,
   // failure only if it occurs at an earlier index than the first structural
   // failure, which is precisely what the position walk below reports.
   const std::size_t n = tx.endorsements.size();
-  if (perf::BatchCryptoEnabled() && n >= 2) {
+  if (n >= 2) {
     std::size_t structural_pos = n;
     TxVerdict structural_verdict = TxVerdict::kValid;
     std::unordered_set<crypto::KeyId> seen;
@@ -319,7 +299,7 @@ void ValidateTransactionsBatch(const Transaction* const* txs,
                                std::size_t count, const crypto::Pki& pki,
                                const std::set<crypto::KeyId>& organization_keys,
                                const EndorsementPolicy& policy, TxVerdict* out) {
-  if (!perf::BatchCryptoEnabled() || count < 2) {
+  if (count < 2) {
     for (std::size_t t = 0; t < count; ++t) {
       out[t] = ValidateTransaction(*txs[t], pki, organization_keys, policy);
     }

@@ -22,10 +22,11 @@ namespace orderless::core {
 /// Digest() and WireSize() are computed from one canonical encoding and
 /// cached (the cache travels with copies, so the client hashes once and
 /// every organization handling a copy of the proposal reuses it). The cache
-/// is host-side only — see src/core/perf.h. Invariant: a proposal that is
-/// mutated in place *after* Digest()/WireSize() was called must call
-/// InvalidateCache(), or the stale digest will be reused (the Byzantine
-/// inconsistent-clocks path in client.cpp is the one mutation site).
+/// is host-side only: it never changes a digest or a simulated cost.
+/// Invariant: a proposal that is mutated in place *after*
+/// Digest()/WireSize() was called must call InvalidateCache(), or the stale
+/// digest will be reused (the Byzantine inconsistent-clocks path in
+/// client.cpp is the one mutation site).
 struct Proposal {
   crypto::KeyId client = 0;
   std::string contract;
@@ -74,7 +75,8 @@ inline constexpr std::string_view kReceiptContext = "orderless.receipt";
 /// and cached. Because the same object is shared zero-copy through
 /// sim::Network by every simulated organization, the first computation
 /// serves the whole cluster — the n-fold re-encode/re-hash the seed paid
-/// per validation disappears. Host-side only; see src/core/perf.h.
+/// per validation disappears. Host-side only: simulated costs are charged
+/// per organization regardless.
 struct Transaction {
   Proposal proposal;
   std::vector<crdt::Operation> ops;
@@ -94,8 +96,8 @@ struct Transaction {
   /// Canonical binary form; used to persist committed transaction bodies so
   /// a restarted organization can keep serving gossip pulls and anti-entropy
   /// syncs. Decode performs no validation — run ValidateTransaction.
-  /// Appends the cached canonical bytes when available (bit-identical to a
-  /// fresh field-by-field encode).
+  /// Appends the cached canonical bytes (bit-identical to a fresh
+  /// field-by-field encode).
   void Encode(codec::Writer& w) const;
   static std::shared_ptr<Transaction> Decode(codec::Reader& r);
 

@@ -1,4 +1,4 @@
-// Memoized transaction validation (host-side optimization, see perf.h).
+// Memoized transaction validation (host-side optimization).
 //
 // ValidateTransaction is a pure function of (transaction bytes, PKI,
 // organization key-set, endorsement policy): for a fixed simulated network
@@ -6,7 +6,7 @@
 // transaction's signatures every other organization validating an identical
 // copy can reuse the verdict. The simulated validate-service time is still
 // charged per organization — only the host-side SHA-256 work is skipped —
-// so simulated results are bit-identical with the memo on or off.
+// so simulated results are bit-identical with or without a memo attached.
 //
 // Byzantine safety: the memo key is the transaction id, but a Byzantine
 // peer could gossip a *different* body under a known-good id (the id is

@@ -142,8 +142,6 @@ class Driver {
   virtual RobustnessStats Robustness() const { return {}; }
   /// End-of-run state sizes; OrderlessChain only.
   virtual StateStats State() const { return {}; }
-  /// Zero-copy commit rows (shared sealed encodings); OrderlessChain only.
-  virtual std::size_t BodyRefRows() const { return 0; }
   /// Hash-chain head per organization; OrderlessChain only.
   virtual std::vector<crypto::Digest> ChainHeads() const { return {}; }
   /// Commit-pipeline hub traffic (OrderlessChain parallel runs only).
@@ -329,8 +327,6 @@ class OrderlessDriver final : public Driver {
     }
     return s;
   }
-
-  std::size_t BodyRefRows() const override { return net_->BodyRefRows(); }
 
   std::vector<crypto::Digest> ChainHeads() const override {
     std::vector<crypto::Digest> heads;
@@ -655,8 +651,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   result.breakdown = driver->Breakdown();
   result.throughput_per_second = result.metrics.per_second.PerSecond(w.duration);
   result.events_processed = simulation.events_processed();
-  result.arena_high_water = simulation.arena_high_water();
-  result.body_ref_rows = driver->BodyRefRows();
   result.org_chain_heads = driver->ChainHeads();
   return result;
 }

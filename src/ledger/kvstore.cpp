@@ -4,10 +4,7 @@ namespace orderless::ledger {
 
 Status MemKvStore::Put(std::string_view key, BytesView value) {
   Stored& row = data_[std::string(key)];
-  if (row.ref) {
-    row.ref.reset();
-    --ref_rows_;
-  }
+  row.ref.reset();
   row.owned.assign(value.begin(), value.end());
   return Status::Ok();
 }
@@ -15,7 +12,6 @@ Status MemKvStore::Put(std::string_view key, BytesView value) {
 Status MemKvStore::PutRef(std::string_view key,
                           std::shared_ptr<const Bytes> value) {
   Stored& row = data_[std::string(key)];
-  if (!row.ref) ++ref_rows_;
   row.owned.clear();
   row.ref = std::move(value);
   return Status::Ok();
@@ -23,10 +19,7 @@ Status MemKvStore::PutRef(std::string_view key,
 
 Status MemKvStore::Delete(std::string_view key) {
   const auto it = data_.find(key);
-  if (it != data_.end()) {
-    if (it->second.ref) --ref_rows_;
-    data_.erase(it);
-  }
+  if (it != data_.end()) data_.erase(it);
   return Status::Ok();
 }
 

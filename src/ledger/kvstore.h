@@ -61,10 +61,6 @@ class MemKvStore final : public KvStore {
                       visitor) const override;
   std::size_t ApproximateCount() const override { return data_.size(); }
 
-  /// Rows whose bytes are shared with the writer instead of copied
-  /// (diagnostics for the zero-copy commit path).
-  std::size_t ref_rows() const { return ref_rows_; }
-
  private:
   /// A row either owns its bytes or shares the writer's refcounted buffer
   /// (PutRef). Readers only ever see view().
@@ -76,7 +72,6 @@ class MemKvStore final : public KvStore {
   };
 
   std::map<std::string, Stored, std::less<>> data_;
-  std::size_t ref_rows_ = 0;
 };
 
 }  // namespace orderless::ledger

@@ -40,12 +40,6 @@ double Profiler::Utilization() const {
          static_cast<double>(pool_width_ns_);
 }
 
-double Profiler::ArenaHitRate() const {
-  if (arena_.alloc_calls == 0) return 0;
-  return static_cast<double>(arena_.alloc_calls - arena_.chunk_allocs) /
-         static_cast<double>(arena_.alloc_calls);
-}
-
 double Profiler::ScratchHitRate() const {
   if (scratch_.acquires == 0) return 0;
   return static_cast<double>(scratch_.pool_hits) /
@@ -65,13 +59,6 @@ void Profiler::Fill(MetricsRegistry& registry) const {
         .Set(static_cast<double>(active_lane_sum_) /
              static_cast<double>(epochs_));
   }
-  registry.counter("prof.arena.alloc_calls").Add(arena_.alloc_calls);
-  registry.counter("prof.arena.chunk_allocs").Add(arena_.chunk_allocs);
-  registry.gauge("prof.arena.recycle_hit_rate").Set(ArenaHitRate());
-  registry.counter("prof.arena.capacity_bytes").Add(arena_.capacity_bytes);
-  registry.counter("prof.arena.high_water_bytes")
-      .Add(arena_.high_water_bytes);
-  registry.counter("prof.arena.resets_with_use").Add(arena_.resets_with_use);
   registry.counter("prof.queue.heap_peak").Add(queue_.heap_peak);
   registry.counter("prof.queue.run_peak").Add(queue_.run_peak);
   registry.counter("prof.scratch.acquires").Add(scratch_.acquires);
@@ -133,13 +120,6 @@ std::string Profiler::RenderText() const {
     }
   }
 
-  Appendf(out,
-          "arena: allocs %" PRIu64 "  chunk-mallocs %" PRIu64
-          "  recycle hit %.2f%%  capacity %" PRIu64 "B  high-water %" PRIu64
-          "B  used-resets %" PRIu64 "\n",
-          arena_.alloc_calls, arena_.chunk_allocs, ArenaHitRate() * 100.0,
-          arena_.capacity_bytes, arena_.high_water_bytes,
-          arena_.resets_with_use);
   Appendf(out, "event-queue: heap peak %" PRIu64 "  run peak %" PRIu64 "\n",
           queue_.heap_peak, queue_.run_peak);
   Appendf(out,
@@ -170,7 +150,6 @@ void Profiler::Reset() {
   barrier_wait_ns_ = 0;
   active_lane_sum_ = 0;
   pool_width_ns_ = 0;
-  arena_ = ArenaSnapshot{};
   queue_ = QueueSnapshot{};
   scratch_ = ScratchSnapshot{};
   crypto_ = CryptoSnapshot{};

@@ -3,11 +3,12 @@
 // Where the tracer answers "what did the *simulated* system do", the
 // profiler answers "what did the *host* spend running it": per-lane epoch
 // utilization (busy vs wall time on the worker pool), barrier-wait time,
-// arena recycle hit rates and batch-crypto kernel dispatch counts. All
-// timestamps here are std::chrono::steady_clock — host time, never
-// sim::SimTime — so profiler output varies by machine while the simulated
-// results stay bit-identical with or without it (bench/perf_hotpath
-// cross-checks, same A/B proof as tracing).
+// event-queue peaks, scratch-pool recycle rates, batch-crypto kernel
+// dispatch counts and commit-pipeline traffic. All timestamps here are
+// std::chrono::steady_clock — host time, never sim::SimTime — so profiler
+// output varies by machine while the simulated results stay bit-identical
+// with or without it (bench/perf_hotpath cross-checks, same A/B proof as
+// tracing).
 //
 // Cost model: every engine hook is gated on a single `if (profiler_)`
 // pointer test, so a run without a profiler attached executes zero
@@ -27,16 +28,6 @@
 
 namespace orderless::obs {
 
-/// Snapshot of the engine's arena counters (summed over lanes), taken at
-/// epoch boundaries — overwrite-style, the counters are cumulative.
-struct ArenaSnapshot {
-  std::uint64_t alloc_calls = 0;
-  std::uint64_t chunk_allocs = 0;  // Alloc calls that had to malloc a chunk
-  std::uint64_t capacity_bytes = 0;
-  std::uint64_t high_water_bytes = 0;
-  std::uint64_t resets_with_use = 0;
-};
-
 /// Event-queue high-water marks (mirrors sim::Simulation's queue tiers):
 /// the 4-ary heap and the sorted run of time-ordered keys. Sequential runs
 /// report the one global queue, parallel runs their largest lane.
@@ -47,8 +38,7 @@ struct QueueSnapshot {
 
 /// Pooled-ScratchWriter traffic (mirrors codec::ScratchPoolCounts; plain
 /// struct so obs never links codec — the harness copies the fields across).
-/// This is the allocator the arena perf toggle actually gates on today's
-/// hot path, so its hit rate is the headline recycle number.
+/// Its hit rate is the headline recycle number.
 struct ScratchSnapshot {
   std::uint64_t acquires = 0;
   std::uint64_t pool_hits = 0;
@@ -85,7 +75,7 @@ struct CryptoSnapshot {
 };
 
 // The methods sim::Simulation calls (BeginLanes, OnLaneSlice, OnEpoch,
-// SetArena, SetQueue) are defined inline: the engine keeps its pointer-only,
+// SetQueue) are defined inline: the engine keeps its pointer-only,
 // no-link relationship with obs (same pattern as the tracer), while the
 // read-out side (Fill, RenderText) lives in prof.cpp inside orderless_obs.
 class Profiler {
@@ -122,7 +112,6 @@ class Profiler {
   }
 
   /// Cumulative-counter snapshots (overwrite semantics).
-  void SetArena(const ArenaSnapshot& arena) { arena_ = arena; }
   void SetQueue(const QueueSnapshot& queue) { queue_ = queue; }
   void SetScratch(const ScratchSnapshot& scratch) { scratch_ = scratch; }
   void SetCrypto(const CryptoSnapshot& crypto) { crypto_ = crypto; }
@@ -135,7 +124,6 @@ class Profiler {
   std::uint64_t total_events() const;
   std::uint64_t epoch_wall_ns() const { return wall_ns_; }
   std::uint64_t barrier_wait_ns() const { return barrier_wait_ns_; }
-  const ArenaSnapshot& arena() const { return arena_; }
   const QueueSnapshot& queue() const { return queue_; }
   const ScratchSnapshot& scratch() const { return scratch_; }
   const CryptoSnapshot& crypto() const { return crypto_; }
@@ -144,15 +132,14 @@ class Profiler {
   /// Worker-pool utilization over all epochs: busy lane time divided by
   /// (epoch wall time x pool width). 0 when nothing ran in parallel.
   double Utilization() const;
-  /// Arena recycle hit rate: Allocs served from an existing chunk.
-  double ArenaHitRate() const;
   /// Scratch-pool recycle hit rate: ScratchWriters served without malloc.
   double ScratchHitRate() const;
 
   /// prof.* metrics for --metrics-json.
   void Fill(MetricsRegistry& registry) const;
 
-  /// Terminal summary: utilization, busiest lanes, arena and crypto.
+  /// Terminal summary: utilization, busiest lanes, queue, scratch pool,
+  /// crypto and pipeline.
   std::string RenderText() const;
 
   void Reset();
@@ -170,7 +157,6 @@ class Profiler {
   std::uint64_t barrier_wait_ns_ = 0;
   std::uint64_t active_lane_sum_ = 0;
   std::uint64_t pool_width_ns_ = 0;  // sum(wall_ns x pool width) per epoch
-  ArenaSnapshot arena_;
   QueueSnapshot queue_;
   ScratchSnapshot scratch_;
   CryptoSnapshot crypto_;

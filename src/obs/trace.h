@@ -68,8 +68,8 @@ enum class EventKind : std::uint8_t {
                      // disjoint from everything the org has in flight —
                      // eligible for out-of-order host verification) /
                      // 0 conflicting (stays in canonical order). Pure
-                     // simulated state: identical with the pipeline
-                     // toggle on or off.                   (instant)
+                     // simulated state: identical at any thread count,
+                     // with or without the hub.            (instant)
   kPipeDedup,        // org: dedup/admission stage service slice,
                      // aux = outcome (0 = fresh, 1 = already committed,
                      // 2 = already in flight)              (span)

@@ -9,17 +9,11 @@
 #include <mutex>
 #include <thread>
 
-#include "common/perf.h"
 #include "obs/prof.h"
 
 namespace orderless::sim {
 
 thread_local Simulation::Lane* Simulation::tls_lane_ = nullptr;
-
-EpochArena* Simulation::CurrentArena() {
-  Lane* lane = tls_lane_;
-  return (lane != nullptr && perf::ArenaEnabled()) ? &lane->arena : nullptr;
-}
 
 namespace {
 constexpr SimTime kNever = ~SimTime{0};
@@ -350,7 +344,6 @@ void Simulation::ExecuteSequential() {
     t0 = ProfClock::now();
   }
   fn();
-  lane.arena.Reset();
   if (prof) {
     prof->OnLaneSlice(lane.index, 1, NsBetween(t0, ProfClock::now()));
   }
@@ -397,7 +390,6 @@ bool Simulation::Step() {
     t0 = ProfClock::now();
   }
   fn();
-  best->arena.Reset();
   if (prof) {
     prof->OnLaneSlice(best->index, 1, NsBetween(t0, ProfClock::now()));
   }
@@ -413,7 +405,7 @@ void Simulation::RunUntil(SimTime until) {
   }
   while (NextSequential(until)) ExecuteSequential();
   if (now_ < until) now_ = until;
-  if (profiler_) SampleProfilerArena();
+  if (profiler_) SampleProfilerQueue();
 }
 
 void Simulation::RunUntilIdle() {
@@ -423,7 +415,7 @@ void Simulation::RunUntilIdle() {
     return;
   }
   while (NextSequential(kNever)) ExecuteSequential();
-  if (profiler_) SampleProfilerArena();
+  if (profiler_) SampleProfilerQueue();
 }
 
 std::size_t Simulation::pending() const {
@@ -512,7 +504,6 @@ void Simulation::RunLaneEpoch(Lane& lane, SimTime end) {
     lane.now = meta.time;
     ++lane.processed;
     fn();
-    lane.arena.Reset();
   }
   if (prof) {
     prof->OnLaneSlice(lane.index, lane.processed - before,
@@ -531,7 +522,6 @@ void Simulation::RunHarnessBarrier(SimTime at) {
     SmallFn fn = queue.Pop(meta);
     ++lane.processed;
     fn();
-    lane.arena.Reset();
   }
   tls_lane_ = nullptr;
 }
@@ -600,21 +590,10 @@ void Simulation::MergeOutboxes() {
 
 void Simulation::RunEpochHooks() {
   for (const auto& hook : epoch_hooks_) hook();
-  if (profiler_) SampleProfilerArena();
+  if (profiler_) SampleProfilerQueue();
 }
 
-void Simulation::SampleProfilerArena() {
-  obs::ArenaSnapshot snap;
-  for (const auto& lane : lanes_) {
-    snap.alloc_calls += lane->arena.alloc_calls();
-    snap.chunk_allocs += lane->arena.chunk_allocs();
-    snap.capacity_bytes += lane->arena.capacity();
-    snap.high_water_bytes =
-        std::max<std::uint64_t>(snap.high_water_bytes,
-                                lane->arena.high_water());
-    snap.resets_with_use += lane->arena.resets_with_use();
-  }
-  profiler_->SetArena(snap);
+void Simulation::SampleProfilerQueue() {
   // Sequential mode keeps every event in queue_; parallel mode reports its
   // largest lane.
   obs::QueueSnapshot queue{queue_.heap_peak, queue_.run_peak};

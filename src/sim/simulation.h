@@ -32,7 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/arena.h"
 #include "sim/time.h"
 
 namespace orderless::obs {
@@ -326,29 +325,8 @@ class Simulation {
   /// instead of amortized doubling.
   void ReserveEvents(std::size_t n);
 
-  /// Observability hook. Components record through `tracer()` when it is
-  /// non-null; the tracer never schedules events or influences protocol
-  /// decisions, so attaching one cannot change a run's outcome. The
-  /// simulation does not own the tracer. Inside a parallel epoch, tracer()
-  /// resolves to the executing lane's shard (see SetLaneTracer).
-  /// Scratch arena of the lane executing the current event: null outside
-  /// events or with the arena perf toggle off, so callers branch to the heap
-  /// in exactly the places the toggle is meant to A/B. Allocations are
-  /// rewound when the event returns — nothing that outlives the event may
-  /// point into it (see sim/arena.h for the full contract).
-  static EpochArena* CurrentArena();
-
-  /// Peak within-event scratch across all lanes (bench/diagnostics).
-  std::size_t arena_high_water() const {
-    std::size_t peak = 0;
-    for (const auto& lane : lanes_) {
-      if (lane->arena.high_water() > peak) peak = lane->arena.high_water();
-    }
-    return peak;
-  }
-
   /// Host-side profiler hook (obs::Profiler): per-lane busy time, epoch
-  /// wall/barrier timing and arena counters, sampled around the engine's
+  /// wall/barrier timing and event-queue peaks, sampled around the engine's
   /// own loops. Like the tracer, the simulation does not own it; unlike
   /// the tracer, it measures *host* time — simulated results stay
   /// bit-identical with or without one attached. Every engine-side hook
@@ -356,6 +334,11 @@ class Simulation {
   void SetProfiler(obs::Profiler* profiler);
   obs::Profiler* profiler() const { return profiler_; }
 
+  /// Observability hook. Components record through `tracer()` when it is
+  /// non-null; the tracer never schedules events or influences protocol
+  /// decisions, so attaching one cannot change a run's outcome. The
+  /// simulation does not own the tracer. Inside a parallel epoch, tracer()
+  /// resolves to the executing lane's shard (see SetLaneTracer).
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const {
     if (!parallel_storage_) return tracer_;  // shards exist only in parallel
@@ -457,8 +440,6 @@ class Simulation {
     std::uint64_t next_seq = 0;
     std::size_t processed = 0;
     obs::Tracer* shard = nullptr;
-    // Within-event scratch, rewound after every event this lane executes.
-    EpochArena arena;
     // Parallel-mode storage; sequential mode keeps everything in queue_.
     EventQueue queue;
     std::vector<PendingEvent> outbox;
@@ -494,7 +475,7 @@ class Simulation {
   void EnsureWorkers();
   void WorkerLoop();
   void DrainActiveLanes(std::vector<Lane*>& active, SimTime end);
-  void SampleProfilerArena();
+  void SampleProfilerQueue();
 
   static thread_local Lane* tls_lane_;
 

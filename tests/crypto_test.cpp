@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/perf.h"
 #include "crypto/pki.h"
 #include "crypto/sha256.h"
 
@@ -212,19 +211,24 @@ TEST(Sha256, HashBatchMatchesScalarAcrossKernels) {
   }
 }
 
-// With batch crypto disabled, HashBatch must still be correct (it falls back
-// to the scalar loop) — the --no-batch-crypto escape hatch relies on it.
+// With the scalar kernel forced, HashBatch must still be correct (it falls
+// back to the scalar loop) and agree with the default dispatch's digests.
 TEST(Sha256, HashBatchWithBatchCryptoDisabled) {
-  perf::ScopedBatchCrypto off(false);
   const Bytes a = ToBytes("alpha");
   const Bytes b = ToBytes("bravo-bravo-bravo-bravo");
   const Bytes c;
+  const Digest expected[3] = {Sha256::Hash(BytesView(a)),
+                              Sha256::Hash(BytesView(b)),
+                              Sha256::Hash(BytesView(c))};
+  batch::ScopedKernel scalar(batch::Kernel::kScalar);
+  ASSERT_TRUE(scalar.ok());
+  ASSERT_EQ(batch::ActiveKernel(3), batch::Kernel::kScalar);
   const BytesView views[3] = {BytesView(a), BytesView(b), BytesView(c)};
   Digest out[3];
   Sha256::HashBatch(views, out, 3);
-  EXPECT_EQ(out[0], Sha256::Hash(BytesView(a)));
-  EXPECT_EQ(out[1], Sha256::Hash(BytesView(b)));
-  EXPECT_EQ(out[2], Sha256::Hash(BytesView(c)));
+  EXPECT_EQ(out[0], expected[0]);
+  EXPECT_EQ(out[1], expected[1]);
+  EXPECT_EQ(out[2], expected[2]);
 }
 
 TEST(Pki, VerifyBatchMatchesScalarVerify) {

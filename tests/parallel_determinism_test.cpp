@@ -14,7 +14,6 @@
 #include "chaos/runner.h"
 #include "chaos/scenario.h"
 #include "contracts/voting.h"
-#include "core/perf.h"
 #include "core/pipeline.h"
 #include "harness/experiment.h"
 #include "harness/orderless_net.h"
@@ -212,21 +211,27 @@ TEST(ParallelExperiment, CheckpointTracedRunBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Memoization on/off and tracing on/off must stay outcome-neutral under the
-// worker pool too, not just sequentially (obs_determinism_test covers
-// threads=1).
+// Memoization and tracing must stay outcome-neutral under the worker pool
+// too, not just sequentially (obs_determinism_test covers threads=1): the
+// 4-thread run must reproduce the values recorded when the memo could still
+// be switched off (identical with it on and off), traced or not.
 TEST(ParallelExperiment, MemoAndTracingStayOutcomeNeutralAt4Threads) {
   const chaos::Scenario scenario = chaos::GenerateScenario(23);
   chaos::RunOptions plain;
   plain.threads = 4;
   const chaos::ChaosRunResult baseline = chaos::RunScenario(scenario, plain);
-
-  chaos::RunOptions unmemoized = plain;
-  unmemoized.memoize = false;
-  const chaos::ChaosRunResult uncached =
-      chaos::RunScenario(scenario, unmemoized);
-  EXPECT_EQ(uncached.fingerprint, baseline.fingerprint);
-  EXPECT_EQ(uncached.org_chain_heads, baseline.org_chain_heads);
+  const std::vector<std::string> pinned_heads = {
+      "2e64d6f3cfcd256202c9d585b270530e91a01dac905fcc97d77f013de9c7e5c4",
+      "f2f36a032a2eba3eec34fdcc7007b5881fa8434684e9e6daf581eaeaf2789fd9",
+      "49950d08cf380f6b7d22568fcc3cb0b93b856d36d3cd56ebbea7055d9b11d0e4",
+      "621ea22b3d5fa776ba1f0cbb71fb50b81903ea26b5c37d301807919227e0dbe6",
+      "03b813aefdd09ebaf1e14c72d5bb8ce76ad9a4dbdc370507e4860e4b45faab5a"};
+  EXPECT_EQ(baseline.fingerprint, 8598569536940922422ull);
+  EXPECT_EQ(baseline.events_processed, 5557u);
+  EXPECT_EQ(baseline.messages_sent, 2581u);
+  EXPECT_EQ(baseline.bytes_sent, 1446347u);
+  EXPECT_EQ(baseline.committed, 45u);
+  EXPECT_EQ(baseline.org_chain_heads, pinned_heads);
 
   obs::Tracer tracer{obs::TracerConfig{}};
   chaos::RunOptions traced = plain;
@@ -237,10 +242,12 @@ TEST(ParallelExperiment, MemoAndTracingStayOutcomeNeutralAt4Threads) {
   EXPECT_GT(tracer.events().size(), 0u);
 }
 
-// The commit pipeline is a host-side optimization: disabling it via the
-// escape hatch must leave every simulated outcome bit-identical, at every
-// thread count, on both a generated chaos scenario and the byzantine-catchup
-// preset (the hub's hardest customer: attestation, equivocation, catch-up).
+// The commit pipeline is a host-side optimization: parallel runs (which
+// publish independent commits to the hub) must leave every simulated
+// outcome bit-identical to the sequential run (which has no hub), at every
+// thread count, on both a generated chaos scenario and the
+// byzantine-catchup preset (the hub's hardest customer: attestation,
+// equivocation, catch-up).
 TEST(ParallelPipeline, EscapeHatchStaysOutcomeNeutralAcrossThreadCounts) {
   for (const chaos::Scenario& scenario :
        {chaos::GenerateScenario(23), chaos::MakeByzantineCatchupScenario(1)}) {
@@ -252,17 +259,10 @@ TEST(ParallelPipeline, EscapeHatchStaysOutcomeNeutralAcrossThreadCounts) {
       options.threads = threads;
       const chaos::ChaosRunResult on = chaos::RunScenario(scenario, options);
       EXPECT_EQ(on.fingerprint, baseline.fingerprint)
-          << scenario.Describe() << " threads=" << threads << " pipeline=on";
+          << scenario.Describe() << " threads=" << threads;
       EXPECT_EQ(on.org_chain_heads, baseline.org_chain_heads)
-          << scenario.Describe() << " threads=" << threads << " pipeline=on";
-
-      core::perf::ScopedPipeline scoped(false);
-      const chaos::ChaosRunResult off = chaos::RunScenario(scenario, options);
-      EXPECT_EQ(off.fingerprint, baseline.fingerprint)
-          << scenario.Describe() << " threads=" << threads << " pipeline=off";
-      EXPECT_EQ(off.org_chain_heads, baseline.org_chain_heads)
-          << scenario.Describe() << " threads=" << threads << " pipeline=off";
-      EXPECT_EQ(off.events_processed, on.events_processed)
+          << scenario.Describe() << " threads=" << threads;
+      EXPECT_EQ(on.events_processed, baseline.events_processed)
           << scenario.Describe() << " threads=" << threads;
     }
   }
@@ -275,8 +275,7 @@ TEST(ParallelPipeline, EscapeHatchStaysOutcomeNeutralAcrossThreadCounts) {
 // them on their org lane, giving the exact block sequence (and chain) the
 // sequential engine produces.
 TEST(ParallelPipeline, SameObjectCommitsStayInCanonicalOrder) {
-  const auto run = [](unsigned threads, bool pipeline, obs::Tracer* tracer) {
-    core::perf::ScopedPipeline scoped(pipeline);
+  const auto run = [](unsigned threads, obs::Tracer* tracer) {
     harness::OrderlessNetConfig config;
     config.num_orgs = 4;
     config.num_clients = 4;
@@ -315,9 +314,9 @@ TEST(ParallelPipeline, SameObjectCommitsStayInCanonicalOrder) {
     return order;
   };
 
-  const auto sequential = run(1, /*pipeline=*/false, nullptr);
+  const auto sequential = run(1, nullptr);
   obs::Tracer tracer{obs::TracerConfig{}};
-  const auto pipelined = run(4, /*pipeline=*/true, &tracer);
+  const auto pipelined = run(4, &tracer);
   EXPECT_EQ(pipelined, sequential);
 
   // Vacuity guard: the parallel run really saw conflicting write sets at

@@ -1,21 +1,23 @@
 // The hot-path caches (encode-once/hash-once transactions, validation
-// memoization) are host-side only: with the memo on or off, a simulated run
-// must be bit-identical — same fingerprint, same event count, same ledger
-// chain head at every organization. These tests pin that contract, plus the
+// memoization) are host-side only: a simulated run must reproduce the
+// fingerprint, event count and per-organization ledger chain heads recorded
+// before the caches became the only path (the values below were identical
+// with the memo on and off). Cached digests and encodings must equal a
+// from-scratch computation. These tests pin that contract, plus the
 // Byzantine body-substitution guard on the validation memo.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "chaos/runner.h"
 #include "chaos/scenario.h"
-#include "core/perf.h"
 #include "core/transaction.h"
 #include "core/validation_cache.h"
 #include "crypto/pki.h"
 
 namespace orderless {
 namespace {
-
-using core::perf::ScopedMemo;
 
 chaos::Scenario DeterminismScenario(std::uint64_t seed) {
   chaos::ScenarioLimits limits;
@@ -28,31 +30,55 @@ chaos::Scenario DeterminismScenario(std::uint64_t seed) {
   return chaos::GenerateScenario(seed, limits);
 }
 
+struct ChaosPin {
+  std::uint64_t seed;
+  std::uint64_t fingerprint;
+  std::uint64_t events_processed;
+  std::uint64_t messages_sent;
+  std::uint64_t bytes_sent;
+  std::uint32_t committed;
+  std::vector<std::string> org_chain_heads;
+};
+
 TEST(PerfDeterminism, ChaosReplayIdenticalWithAndWithoutMemo) {
   // Two seeds so both a quiet and a fault-heavy script are covered.
-  for (const std::uint64_t seed : {7u, 1234u}) {
-    const chaos::Scenario scenario = DeterminismScenario(seed);
-    const chaos::ChaosRunResult with_memo =
-        chaos::RunScenario(scenario, chaos::RunOptions{.memoize = true});
-    const chaos::ChaosRunResult without_memo =
-        chaos::RunScenario(scenario, chaos::RunOptions{.memoize = false});
-
-    EXPECT_EQ(with_memo.fingerprint, without_memo.fingerprint)
-        << "seed " << seed;
-    EXPECT_EQ(with_memo.events_processed, without_memo.events_processed)
-        << "seed " << seed;
-    EXPECT_EQ(with_memo.messages_sent, without_memo.messages_sent)
-        << "seed " << seed;
-    EXPECT_EQ(with_memo.bytes_sent, without_memo.bytes_sent)
-        << "seed " << seed;
-    EXPECT_EQ(with_memo.committed, without_memo.committed) << "seed " << seed;
+  const ChaosPin pins[] = {
+      {7,
+       7532240566665404570ull,
+       2790,
+       1221,
+       231220,
+       24,
+       {"cc352067517014f2da547790e69c3e4f919674b9bff21d5722083f28b6add6fd",
+        "60766cdda86282aca8dbb6a2d5ef7db906989b43944e2cd8cd4c4cf38d843a3c",
+        "7d16346f026929f857ca57a65a6af3d0f70defb55957f53f9dae2a20ed9ce78c",
+        "7d16346f026929f857ca57a65a6af3d0f70defb55957f53f9dae2a20ed9ce78c",
+        "b7c24f6a82cd8b7b9b5858f9efaa0926fd7c265c5ca7442df605ed6d11f0ccc8",
+        "7d16346f026929f857ca57a65a6af3d0f70defb55957f53f9dae2a20ed9ce78c"}},
+      {1234,
+       12856665662582387212ull,
+       3270,
+       1684,
+       436923,
+       24,
+       {"2b147c55ebebe09ee4a6a36b4bd600300bccf6d49d709df4a8b3cc707f291e8f",
+        "526e450354781336ccbef93f0ad4e22338378910ccd47f006e9e66182d86ff8d",
+        "8aca39312484e377f9b6a7c14fb342160cc641531e5b8d0dcfafce0ab92f0706",
+        "2ba86116063cecd44bfcf44af7b3a80485783a556fc8269acbe83da4e3f3d7bd",
+        "8bb008e697b60b9f6f85486bdfd2691217ff56a764989d596b93fb5366c2aaf1",
+        "d87184ac1a5878b579a56c7bb833301af5d6975e701c355680c74c2c497edba7"}},
+  };
+  for (const ChaosPin& pin : pins) {
+    const chaos::ChaosRunResult run =
+        chaos::RunScenario(DeterminismScenario(pin.seed));
+    EXPECT_EQ(run.fingerprint, pin.fingerprint) << "seed " << pin.seed;
+    EXPECT_EQ(run.events_processed, pin.events_processed)
+        << "seed " << pin.seed;
+    EXPECT_EQ(run.messages_sent, pin.messages_sent) << "seed " << pin.seed;
+    EXPECT_EQ(run.bytes_sent, pin.bytes_sent) << "seed " << pin.seed;
+    EXPECT_EQ(run.committed, pin.committed) << "seed " << pin.seed;
     // Per-org chain heads pinpoint divergence if the fingerprint ever splits.
-    ASSERT_EQ(with_memo.org_chain_heads.size(),
-              without_memo.org_chain_heads.size());
-    for (std::size_t i = 0; i < with_memo.org_chain_heads.size(); ++i) {
-      EXPECT_EQ(with_memo.org_chain_heads[i], without_memo.org_chain_heads[i])
-          << "seed " << seed << " org " << i;
-    }
+    EXPECT_EQ(run.org_chain_heads, pin.org_chain_heads) << "seed " << pin.seed;
   }
 }
 
@@ -78,26 +104,18 @@ std::vector<crdt::Operation> MakeOps() {
 
 TEST(PerfDeterminism, CachedDigestsMatchUncachedComputation) {
   const core::Proposal p = MakeProposal();
-  crypto::Digest cached, uncached;
-  std::size_t size_cached, size_uncached;
-  {
-    ScopedMemo on(true);
-    cached = p.Digest();
-    cached = p.Digest();  // second call served from the cache
-    size_cached = p.WireSize();
-  }
-  {
-    ScopedMemo off(false);
-    core::Proposal fresh = MakeProposal();
-    uncached = fresh.Digest();
-    size_uncached = fresh.WireSize();
-  }
-  EXPECT_EQ(cached, uncached);
-  EXPECT_EQ(size_cached, size_uncached);
+  const crypto::Digest cached = p.Digest();
+  EXPECT_EQ(p.Digest(), cached);  // second call served from the cache
+  const std::size_t size_cached = p.WireSize();
+
+  // Reference: SHA-256 over a fresh canonical encode of an uncached copy.
+  codec::Writer w;
+  MakeProposal().Encode(w);
+  EXPECT_EQ(cached, crypto::Sha256::Hash(BytesView(w.data())));
+  EXPECT_EQ(size_cached, w.size());
 }
 
 TEST(PerfDeterminism, InvalidateCacheDropsStaleDigest) {
-  ScopedMemo on(true);
   core::Proposal p = MakeProposal();
   const crypto::Digest before = p.Digest();
   p.clock.counter += 1;  // the Byzantine inconsistent-clocks mutation
@@ -122,28 +140,33 @@ TEST(PerfDeterminism, TransactionEncodingIdenticalWithAndWithoutMemo) {
                          core::EndorsementMessage(p.Digest(),
                                                   core::WriteSetDigest(ops)));
 
-  Bytes with_memo, without_memo;
-  std::size_t wire_with, wire_without;
-  {
-    ScopedMemo on(true);
-    auto tx = core::Transaction::Assemble(p, ops, {e}, client);
-    codec::Writer w;
-    tx->Encode(w);
-    tx->Encode(w);  // second append comes from the cached canonical bytes
-    with_memo = w.Take();
-    wire_with = tx->WireSize();
-  }
-  {
-    ScopedMemo off(false);
-    auto tx = core::Transaction::Assemble(p, ops, {e}, client);
-    codec::Writer w;
-    tx->Encode(w);
-    tx->Encode(w);
-    without_memo = w.Take();
-    wire_without = tx->WireSize();
-  }
-  EXPECT_EQ(with_memo, without_memo);
-  EXPECT_EQ(wire_with, wire_without);
+  auto tx = core::Transaction::Assemble(p, ops, {e}, client);
+  codec::Writer w;
+  tx->Encode(w);
+  tx->Encode(w);  // second append comes from the cached canonical bytes
+  const Bytes cached = w.Take();
+
+  // Reference: the canonical layout encoded field by field.
+  codec::Writer ref;
+  p.Encode(ref);
+  crdt::EncodeOperations(ops, ref);
+  ref.PutVarint(1);
+  ref.PutU64(e.org);
+  ref.PutBytes(e.signature.View());
+  ref.PutBytes(tx->client_signature.View());
+  ref.PutBytes(tx->id.View());
+  Bytes expected = ref.data();
+  expected.insert(expected.end(), ref.data().begin(), ref.data().end());
+  EXPECT_EQ(cached, expected);
+  EXPECT_EQ(tx->EncodedBody().size(), ref.size());
+
+  // The wire-size estimate counts fixed-width endorsements and signatures
+  // (40 bytes per endorsement, 32 + 32 for client signature and id, 16 of
+  // framing) on top of the proposal and write-set bytes.
+  codec::Writer body;
+  p.Encode(body);
+  crdt::EncodeOperations(ops, body);
+  EXPECT_EQ(tx->WireSize(), body.size() + 40 + 32 + 32 + 16);
 }
 
 class ValidationMemoFixture : public ::testing::Test {
@@ -175,7 +198,6 @@ class ValidationMemoFixture : public ::testing::Test {
 };
 
 TEST_F(ValidationMemoFixture, SharedPointerAndByteIdenticalCopiesHit) {
-  ScopedMemo on(true);
   core::ValidationMemo memo(16);
   const auto tx = MakeValidTx();
   ASSERT_EQ(core::ValidateTransaction(*tx, pki_, org_keys_, policy_),
@@ -199,7 +221,6 @@ TEST_F(ValidationMemoFixture, SharedPointerAndByteIdenticalCopiesHit) {
 }
 
 TEST_F(ValidationMemoFixture, ByzantineBodySubstitutionMisses) {
-  ScopedMemo on(true);
   core::ValidationMemo memo(16);
   const auto tx = MakeValidTx();
   memo.Store(tx, core::TxVerdict::kValid);
@@ -219,7 +240,6 @@ TEST_F(ValidationMemoFixture, ByzantineBodySubstitutionMisses) {
 }
 
 TEST_F(ValidationMemoFixture, LruEvictsAtCapacity) {
-  ScopedMemo on(true);
   core::ValidationMemo memo(2);
   const auto a = MakeValidTx();
 

@@ -14,6 +14,9 @@
 //     sensitive to allocator warm-up, so it gets a loose 30% band.
 //   * Unknown numeric fields default to info-only; a field must be
 //     classified here before it can break CI.
+//   * A gated (exact or banded) baseline field that the current run no
+//     longer emits is a regression: a gate cannot pass by going silent.
+//     Missing info-only fields are noted, never gating.
 //
 // Usage:
 //   bench_regress --baselines DIR [--update] [--report FILE] FILES...
@@ -112,7 +115,8 @@ double BandOf(MetricClass cls) {
 
 /// One bench document flattened for comparison: point identity -> numeric
 /// fields. Point identity is "name" plus every other string-typed field, so
-/// e.g. {"name": "latency", "org": "org2"} and the org3 row stay distinct.
+/// e.g. {"name": "latency", "org": "org2"} and the org3 row stay distinct;
+/// rows repeating an identity are numbered in document order ("#1", ...).
 struct FlatBench {
   std::string bench;
   // point key -> (metric key -> value). std::map for deterministic order.
@@ -150,9 +154,15 @@ bool Flatten(const json::JsonValue& doc, const std::string& label,
   if (points == nullptr || points->type != json::JsonValue::Type::kArray) {
     return true;  // scalar-only documents are fine
   }
+  // Sweeps emit several rows under one identity (e.g. one row per thread
+  // count, which is numeric); the n-th repeat is keyed "#n" so each row is
+  // compared with the same row of the baseline instead of overwriting it.
+  std::map<std::string, int> repeats;
   for (const json::JsonValue& point : points->array) {
     if (point.type != json::JsonValue::Type::kObject) continue;
-    auto& fields = out.points[PointKey(point)];
+    std::string key = PointKey(point);
+    if (const int n = repeats[key]++; n > 0) key += "#" + std::to_string(n);
+    auto& fields = out.points[key];
     for (const auto& [k, v] : point.object) {
       if (v.type == json::JsonValue::Type::kNumber) fields[k] = v.number;
     }
@@ -175,7 +185,8 @@ struct Verdict {
   int regressions = 0;
   int improvements = 0;
   int info = 0;
-  int missing = 0;
+  int missing = 0;         // baseline fields absent from the current run
+  int missing_gated = 0;   // ... of which gated (counted as regressions)
   std::vector<std::string> lines;  // human log, also mirrored to --report
 };
 
@@ -183,26 +194,35 @@ void Note(Verdict& v, const char* tag, const std::string& what) {
   v.lines.push_back(std::string("[") + tag + "] " + what);
 }
 
+/// A baseline field the current run did not emit: a regression when the
+/// field is gated, a note when it is info-only.
+void NoteMissing(Verdict& v, const std::string& what, MetricClass cls) {
+  ++v.missing;
+  if (cls == MetricClass::kInfoOnly) {
+    Note(v, "MISSING", what + " (info-only)");
+    return;
+  }
+  ++v.missing_gated;
+  ++v.regressions;
+  Note(v, "FAIL", what + ": gated field absent from current run");
+}
+
 /// Compares one current bench document against its baseline.
 void Compare(const FlatBench& base, const FlatBench& cur, Verdict& v) {
+  static const std::map<std::string, double> kNoFields;
   for (const auto& [point, base_fields] : base.points) {
     const auto cur_it = cur.points.find(point);
-    if (cur_it == cur.points.end()) {
-      ++v.missing;
-      Note(v, "MISSING", base.bench + " / " + point +
-                             ": point absent from current run");
-      continue;
-    }
+    const auto& cur_fields =
+        cur_it == cur.points.end() ? kNoFields : cur_it->second;
     for (const auto& [key, base_value] : base_fields) {
-      const auto field_it = cur_it->second.find(key);
-      if (field_it == cur_it->second.end()) {
-        ++v.missing;
-        Note(v, "MISSING", base.bench + " / " + point + " / " + key);
+      Direction direction;
+      const MetricClass cls = Classify(key, &direction);
+      const auto field_it = cur_fields.find(key);
+      if (field_it == cur_fields.end()) {
+        NoteMissing(v, base.bench + " / " + point + " / " + key, cls);
         continue;
       }
       const double cur_value = field_it->second;
-      Direction direction;
-      const MetricClass cls = Classify(key, &direction);
       char buf[256];
       std::snprintf(buf, sizeof buf, "%s / %s / %s: %.6g -> %.6g",
                     base.bench.c_str(), point.c_str(), key.c_str(), base_value,
@@ -265,6 +285,7 @@ bool WriteReport(const std::string& path, const Verdict& v, bool ok) {
   out << "  \"regressions\": " << v.regressions << ",\n";
   out << "  \"improvements\": " << v.improvements << ",\n";
   out << "  \"missing\": " << v.missing << ",\n";
+  out << "  \"missing_gated\": " << v.missing_gated << ",\n";
   out << "  \"lines\": [\n";
   for (std::size_t i = 0; i < v.lines.size(); ++i) {
     std::string escaped;
@@ -280,7 +301,9 @@ bool WriteReport(const std::string& path, const Verdict& v, bool ok) {
 
 /// Self-test: builds a synthetic baseline/current pair in memory with (a) a
 /// 2x p99_ms regression and (b) an exact-count mismatch, and checks both are
-/// caught while an info-only wall_ms doubling is not. Guards the gate itself.
+/// caught while an info-only wall_ms doubling is not; then checks that gated
+/// fields missing from a run fail while missing info-only fields do not.
+/// Guards the gate itself.
 int SelfTest() {
   const char* base_text = R"({
   "bench": "selftest",
@@ -342,6 +365,75 @@ int SelfTest() {
   expect(!logged("FAIL", "p50_ms"), "in-band p50_ms drift must not gate");
   expect(!logged("FAIL", "commit_tps"), "in-band tps drift must not gate");
   expect(v.missing == 0, "no fields should be missing");
+
+  // A gate cannot pass by going silent: a current run that drops a gated
+  // field (exact count, banded latency) or a whole point carrying one fails;
+  // a dropped info-only field is only noted.
+  const char* dropped_text = R"({
+  "bench": "selftest",
+  "points": [
+    {"name": "latency", "kind": "histogram", "count": 1000, "p50_ms": 10.0},
+    {"name": "totals", "failed": 100}
+  ]
+})";
+  json::JsonValue dropped_doc;
+  FlatBench dropped;
+  if (!json::ParseDocument(dropped_text, "selftest-dropped", dropped_doc) ||
+      !Flatten(dropped_doc, "selftest-dropped", dropped)) {
+    return 1;
+  }
+  Verdict d;
+  Compare(base, dropped, d);
+  for (const std::string& line : d.lines) std::printf("%s\n", line.c_str());
+  const auto logged_in = [](const Verdict& verdict, const char* tag,
+                            const char* needle) {
+    for (const std::string& line : verdict.lines) {
+      if (line.rfind(std::string("[") + tag, 0) == 0 &&
+          line.find(needle) != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
+  // Missing: speedup (info), p99_ms (band), committed (exact), wall_ms
+  // (info) and the whole "rate" point's commit_tps (band).
+  expect(d.missing == 5, "expected 5 missing baseline fields");
+  expect(d.missing_gated == 3, "expected 3 missing gated fields");
+  expect(d.regressions == 3, "missing gated fields must be regressions");
+  expect(logged_in(d, "FAIL", "histogram / p99_ms"),
+         "missing banded p99_ms not caught");
+  expect(logged_in(d, "FAIL", "totals / committed"),
+         "missing exact committed not caught");
+  expect(logged_in(d, "FAIL", "rate / commit_tps"),
+         "missing point's banded commit_tps not caught");
+  expect(logged_in(d, "MISSING", "totals / wall_ms"),
+         "missing info-only wall_ms must be noted");
+  expect(!logged_in(d, "FAIL", "wall_ms"), "missing wall_ms must not gate");
+  expect(!logged_in(d, "FAIL", "speedup"), "missing speedup must not gate");
+
+  // Rows that share a name and differ only in a numeric parameter (a
+  // thread-count sweep) are each compared, not collapsed into the last one.
+  const char* sweep_base = R"({"bench": "sweep", "points": [
+    {"name": "run", "threads": 1, "committed": 600},
+    {"name": "run", "threads": 2, "committed": 600}]})";
+  const char* sweep_cur = R"({"bench": "sweep", "points": [
+    {"name": "run", "threads": 1, "committed": 599},
+    {"name": "run", "threads": 2, "committed": 600}]})";
+  json::JsonValue sweep_base_doc;
+  json::JsonValue sweep_cur_doc;
+  FlatBench sweep_b;
+  FlatBench sweep_c;
+  if (!json::ParseDocument(sweep_base, "selftest-sweep-base", sweep_base_doc) ||
+      !json::ParseDocument(sweep_cur, "selftest-sweep-cur", sweep_cur_doc) ||
+      !Flatten(sweep_base_doc, "selftest-sweep-base", sweep_b) ||
+      !Flatten(sweep_cur_doc, "selftest-sweep-cur", sweep_c)) {
+    return 1;
+  }
+  Verdict sweep;
+  Compare(sweep_b, sweep_c, sweep);
+  for (const std::string& line : sweep.lines) std::printf("%s\n", line.c_str());
+  expect(sweep.regressions == 1 && logged_in(sweep, "FAIL", "run / committed"),
+         "a changed count in a repeated sweep row must be caught");
   std::printf("self-test %s\n", failures == 0 ? "passed" : "FAILED");
   return failures == 0 ? 0 : 1;
 }
@@ -432,9 +524,9 @@ int main(int argc, char** argv) {
   }
   const bool ok = verdict.regressions == 0 && io_errors == 0;
   std::printf("bench_regress: %d regression(s), %d improvement(s), "
-              "%d missing, %d file error(s) -> %s\n",
+              "%d missing (%d gated), %d file error(s) -> %s\n",
               verdict.regressions, verdict.improvements, verdict.missing,
-              io_errors, ok ? "OK" : "FAIL");
+              verdict.missing_gated, io_errors, ok ? "OK" : "FAIL");
   if (!report_path.empty() && !WriteReport(report_path, verdict, ok)) {
     std::fprintf(stderr, "bench_regress: cannot write %s\n",
                  report_path.c_str());
