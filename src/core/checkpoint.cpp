@@ -1,15 +1,19 @@
 #include "core/checkpoint.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 namespace orderless::core {
 
 namespace {
 
 /// Encodes everything the digest covers — all fields except the digest and
-/// signature — in one canonical order. Encode() and ComputeDigest() both go
-/// through here so the bytes hashed are exactly the bytes shipped.
-void EncodeSignedFields(const Checkpoint& ckpt, codec::Writer& w) {
+/// signature — in one canonical order into any sink with codec::Writer's
+/// Put* interface. Encode(), EncodedSize() and ComputeDigest() all go through
+/// here, so the bytes hashed and counted are exactly the bytes shipped.
+template <typename Sink>
+void EncodeSignedFields(const Checkpoint& ckpt, Sink& w) {
   w.PutU64(ckpt.seq);
   w.PutU64(ckpt.origin);
   w.PutU64(ckpt.chain_height);
@@ -27,6 +31,74 @@ void EncodeSignedFields(const Checkpoint& ckpt, codec::Writer& w) {
     w.PutBytes(BytesView(state));
   }
 }
+
+std::size_t VarintSize(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+/// Counts the bytes codec::Writer would produce.
+class SizeSink {
+ public:
+  void PutU32(std::uint32_t) { size_ += 4; }
+  void PutU64(std::uint64_t) { size_ += 8; }
+  void PutBool(bool) { size_ += 1; }
+  void PutRaw(BytesView b) { size_ += b.size(); }
+  void PutString(std::string_view s) { size_ += VarintSize(s.size()) + s.size(); }
+  void PutBytes(BytesView b) { size_ += VarintSize(b.size()) + b.size(); }
+  std::size_t size() const { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+};
+
+/// Feeds codec::Writer's bytes straight into SHA-256 through a small staging
+/// buffer: a digest over a large checkpoint never holds its encoding.
+class DigestSink {
+ public:
+  // Room for a full stage plus the largest put that can follow it.
+  DigestSink() { staged_.Reserve(2 * kStage + 16); }
+  void PutU32(std::uint32_t v) { staged_.PutU32(v); Spill(); }
+  void PutU64(std::uint64_t v) { staged_.PutU64(v); Spill(); }
+  void PutBool(bool v) { staged_.PutBool(v); Spill(); }
+  void PutRaw(BytesView b) {
+    if (b.size() < kStage) {
+      staged_.PutRaw(b);
+      Spill();
+      return;
+    }
+    Flush();
+    sha_.Update(b);
+  }
+  void PutString(std::string_view s) {
+    staged_.PutVarint(s.size());
+    PutRaw(BytesView(reinterpret_cast<const std::uint8_t*>(s.data()),
+                     s.size()));
+  }
+  void PutBytes(BytesView b) {
+    staged_.PutVarint(b.size());
+    PutRaw(b);
+  }
+  crypto::Digest Finish() {
+    Flush();
+    return sha_.Finalize();
+  }
+
+ private:
+  static constexpr std::size_t kStage = 4096;
+  void Spill() {
+    if (staged_.size() >= kStage) Flush();
+  }
+  void Flush() {
+    if (staged_.size() == 0) return;
+    sha_.Update(BytesView(staged_.data()));
+    staged_.Clear();
+  }
+
+  crypto::Sha256 sha_;
+  codec::Writer staged_;
+};
 
 bool GetDigest(codec::Reader& r, crypto::Digest& out) {
   for (std::size_t i = 0; i < out.bytes.size(); ++i) {
@@ -91,13 +163,20 @@ std::shared_ptr<Checkpoint> Checkpoint::Decode(codec::Reader& r) {
   return ckpt;
 }
 
+std::size_t Checkpoint::EncodedSize() const {
+  SizeSink sink;
+  EncodeSignedFields(*this, sink);
+  return sink.size() + digest.bytes.size() + signature.bytes.size();
+}
+
 crypto::Digest Checkpoint::ComputeDigest() const {
-  codec::Writer w;
-  EncodeSignedFields(*this, w);
-  return crypto::Sha256::Hash(BytesView(w.data()));
+  DigestSink sink;
+  EncodeSignedFields(*this, sink);
+  return sink.Finish();
 }
 
 void Checkpoint::Seal(const crypto::PrivateKey& key) {
+  encoding.reset();  // the fields may have changed since it was made
   digest = ComputeDigest();
   signature = key.Sign(kCheckpointContext, digest);
 }
@@ -118,6 +197,50 @@ std::size_t Checkpoint::WireSizeBytes() const {
     size += 8 + object_id.size() + state.size();
   }
   return size;
+}
+
+std::uint64_t CoveredLookup::Key(const crypto::Digest& id) {
+  std::uint64_t v;
+  std::memcpy(&v, id.bytes.data(), sizeof v);
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+void CoveredLookup::Build(const std::vector<Checkpoint::CoveredTx>* covered) {
+  const std::size_t n = covered == nullptr ? 0 : covered->size();
+  covered_ = n == 0 ? nullptr : covered;
+  offsets_.clear();
+  shift_ = 64;
+  if (n == 0) return;
+  // 2^bits buckets holding 4 to 8 entries each on average; a list shorter
+  // than 8 is one bucket (shift_ = 64).
+  const unsigned log2n = static_cast<unsigned>(std::bit_width(n)) - 1;
+  const unsigned bits = log2n > 2 ? log2n - 2 : 0;
+  shift_ = 64 - bits;
+  const std::size_t buckets = std::size_t{1} << bits;
+  offsets_.resize(buckets + 1);
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    offsets_[b] = static_cast<std::uint32_t>(i);
+    while (i < n && Bucket(Key((*covered)[i].id)) == b) ++i;
+  }
+  offsets_[buckets] = static_cast<std::uint32_t>(n);
+}
+
+const Checkpoint::CoveredTx* CoveredLookup::Find(
+    const crypto::Digest& id) const {
+  if (covered_ == nullptr) return nullptr;
+  const std::uint64_t key = Key(id);
+  const std::size_t b = Bucket(key);
+  for (std::uint32_t i = offsets_[b]; i < offsets_[b + 1]; ++i) {
+    const Checkpoint::CoveredTx& entry = (*covered_)[i];
+    const std::uint64_t entry_key = Key(entry.id);
+    if (entry_key > key) break;  // sorted: the id is not in this bucket
+    if (entry_key == key && entry.id == id) return &entry;
+  }
+  return nullptr;
 }
 
 void CheckpointAttestation::Encode(codec::Writer& w) const {

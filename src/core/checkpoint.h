@@ -85,11 +85,21 @@ struct Checkpoint {
   /// origin's signature over `digest` under kCheckpointContext.
   crypto::Signature signature;
 
+  /// The canonical encoding, attached by the sealing organization right
+  /// after Seal() and before the checkpoint is shared, so every ledger that
+  /// persists this checkpoint holds the same bytes by reference. Null on
+  /// decoded and test-built checkpoints. Seal() drops it, so a copy whose
+  /// fields are changed and re-sealed never carries stale bytes.
+  std::shared_ptr<const Bytes> encoding;
+
   /// Canonical encoding (all fields, digest and signature included).
   void Encode(codec::Writer& w) const;
   static std::shared_ptr<Checkpoint> Decode(codec::Reader& r);
+  /// Exact size of Encode()'s output, so an encode reserves once.
+  std::size_t EncodedSize() const;
 
-  /// Recomputes the digest from the current field values.
+  /// Recomputes the digest from the current field values. Streams the
+  /// signed fields through SHA-256; no encoding is materialized.
   crypto::Digest ComputeDigest() const;
 
   /// Stamps the digest and signs it. `key` must be the origin's.
@@ -102,6 +112,33 @@ struct Checkpoint {
 
   /// Simulated wire size (bytes) for the network cost model.
   std::size_t WireSizeBytes() const;
+};
+
+/// O(1)-expected lookup of an id in a covered list sorted by id. A radix
+/// table maps the top bits of an id to the offset of the first entry whose
+/// id starts with those bits, so a lookup scans one bucket of a few entries.
+/// The table costs at most one byte per covered id (~4 per bucket on
+/// average) and is rebuilt whenever the list is replaced. The list must
+/// outlive the lookup and stay unchanged while it is in use.
+class CoveredLookup {
+ public:
+  /// Indexes `covered` (null or empty = nothing covered).
+  void Build(const std::vector<Checkpoint::CoveredTx>* covered);
+  /// The covered entry with this id, or null.
+  const Checkpoint::CoveredTx* Find(const crypto::Digest& id) const;
+  std::size_t size() const { return covered_ ? covered_->size() : 0; }
+
+ private:
+  /// The top 64 bits of an id, big-endian: sorted ids have sorted keys.
+  static std::uint64_t Key(const crypto::Digest& id);
+  std::size_t Bucket(std::uint64_t key) const {
+    return shift_ == 64 ? 0 : static_cast<std::size_t>(key >> shift_);
+  }
+
+  const std::vector<Checkpoint::CoveredTx>* covered_ = nullptr;
+  unsigned shift_ = 64;
+  // offsets_[b] .. offsets_[b + 1] is bucket b.
+  std::vector<std::uint32_t> offsets_;
 };
 
 /// One organization's signature over a checkpoint digest under

@@ -18,6 +18,22 @@ bool CoveredBefore(const Checkpoint::CoveredTx& a,
                    const Checkpoint::CoveredTx& b) {
   return a.id.bytes < b.id.bytes;
 }
+
+/// A checkpoint's canonical bytes: the encoding its sealer attached, else a
+/// fresh encode at exact size.
+std::shared_ptr<const Bytes> EncodingOf(const Checkpoint& ckpt) {
+  if (ckpt.encoding) return ckpt.encoding;
+  codec::Writer w;
+  w.Reserve(ckpt.EncodedSize());
+  ckpt.Encode(w);
+  return std::make_shared<const Bytes>(w.Take());
+}
+
+std::shared_ptr<const Bytes> EncodingOf(const AttestationSet& set) {
+  codec::Writer w;
+  set.Encode(w);
+  return std::make_shared<const Bytes>(w.Take());
+}
 }  // namespace
 
 /// Exposes the organization's cache to executing contracts.
@@ -158,24 +174,36 @@ bool Organization::RecoverFromLedger() {
   }
   const bool consistent = ledger_.RecoverFromStore(base);
   catchup_stats_.recovered_records += ledger_.last_recovered_records();
+  // The restored own seal is the coverage half of the commit index. The
+  // window gets the replayed records it does not cover (a crash between
+  // seal and prune leaves some it does), then the coverage adopted from the
+  // other persisted checkpoints.
   commit_index_.clear();
-  sealed_ckpt_ = nullptr;  // adoption skips ids of the own seal: none yet
+  SetSealed(sealed);
   committed_count_ = 0;
   committed_xor_ = 0;
   ckpt_external_valid_ = 0;
+  std::size_t records_covered = 0;
   for (const auto& rec : ledger_.RecoverCommitIndex()) {
+    if (covered_.Find(rec.id) != nullptr) {
+      ++records_covered;
+      continue;
+    }
     commit_index_[rec.id] = CommitRecord{rec.valid, rec.block_hash};
     if (rec.valid) {
       ++committed_count_;
       committed_xor_ ^= rec.id.Prefix64();
     }
   }
-  // Coverage the pruned prefix no longer has records for comes back from
-  // the checkpoints; the installed one also re-merges its object states
-  // (the sealed one's went in as the recovery base above).
   if (sealed) {
-    AdoptCheckpointCoverage(*sealed);
-    sealed_ckpt_ = sealed;
+    for (const Checkpoint::CoveredTx& tx : sealed->covered) {
+      if (tx.valid) {
+        ++committed_count_;
+        committed_xor_ ^= tx.id.Prefix64();
+      }
+    }
+    // Covered ids whose records were pruned come back as coverage.
+    catchup_stats_.ckpt_txs_covered += sealed->covered.size() - records_covered;
     ckpt_seq_ = sealed->seq;
   }
   if (attested) {
@@ -191,6 +219,8 @@ bool Organization::RecoverFromLedger() {
     }
   }
   if (installed) {
+    // The sealed checkpoint's object states went in as the recovery base;
+    // the installed one's are merged here.
     for (const auto& [object_id, state] : installed->objects) {
       ledger_.MergeObjectState(object_id, BytesView(state));
     }
@@ -203,20 +233,8 @@ bool Organization::RecoverFromLedger() {
   // derive the external count exactly instead of trusting the adoption sum.
   ckpt_external_valid_ = committed_count_ - ledger_.committed_valid();
   commits_at_last_seal_ = committed_count_;
-  // Re-derive the seal delta: everything the index holds beyond the restored
-  // own seal (replayed records and coverage adopted from other checkpoints).
   // Storage was last pruned behind the seal, or with attestation behind the
   // promoted one.
-  index_delta_.clear();
-  if (timing_.checkpoint.enabled) {
-    const auto& own = sealed_ckpt_ ? sealed_ckpt_->covered : kNoCovered;
-    for (const auto& [id, record] : commit_index_) {
-      const Checkpoint::CoveredTx entry{id, record.valid};
-      if (!std::binary_search(own.begin(), own.end(), entry, CoveredBefore)) {
-        index_delta_.push_back(entry);
-      }
-    }
-  }
   pruned_ckpt_ = timing_.checkpoint.attest ? attested_ckpt_ : sealed_ckpt_;
   // Reload committed bodies so gossip pulls and anti-entropy syncs keep
   // working for transactions committed before the crash. Behind a sealed
@@ -226,7 +244,7 @@ bool Organization::RecoverFromLedger() {
     ledger_.ScanTransactionBodies([this](BytesView encoded) {
       codec::Reader r(encoded);
       auto tx = Transaction::Decode(r);
-      if (tx && commit_index_.contains(tx->id)) {
+      if (tx && FindCommit(tx->id)) {
         committed_txs_.push_back(std::move(tx));
       }
     });
@@ -280,7 +298,7 @@ void Organization::OnDelivery(const sim::Delivery& delivery) {
     // for; the pending-pull retry loop in GossipTick() repairs losses.
     auto pull = std::make_shared<GossipPullMsg>();
     for (const crypto::Digest& id : advert->ids) {
-      if (commit_index_.contains(id) || in_flight_.contains(id)) continue;
+      if (FindCommit(id) || in_flight_.contains(id)) continue;
       if (pending_pulls_.contains(id)) continue;
       pending_pulls_[id] = PendingPull{delivery.from, 0, 0};
       pull->ids.push_back(id);
@@ -594,7 +612,7 @@ void Organization::PipeAdmit(const std::shared_ptr<const Transaction>& tx) {
   // One admission record per id: re-sent or gossiped copies of an id
   // already committed, or already in flight, change nothing (the dedup
   // stage answers them from the indexes).
-  if (commit_index_.find(tx->id) != commit_index_.end()) return;
+  if (FindCommit(tx->id)) return;
   if (pipe_pending_.find(tx->id) != pipe_pending_.end()) return;
   std::vector<std::uint64_t> objects;
   objects.reserve(tx->ops.size());
@@ -678,8 +696,7 @@ void Organization::HandleCommit(sim::NodeId from,
                                                              arrival] {
     if (!running_) return;
     // Already committed: do not commit again; resend the receipt (paper §4).
-    const auto done = commit_index_.find(tx->id);
-    if (done != commit_index_.end()) {
+    if (const auto done = FindCommit(tx->id)) {
       // A checkpoint install covered the id between admission and this
       // dedup check — the admission record will never reach FinishCommit.
       PipeFinish(tx->id);
@@ -690,8 +707,8 @@ void Organization::HandleCommit(sim::NodeId from,
       }
       if (!from_gossip) {
         auto reply = std::make_shared<CommitReplyMsg>();
-        reply->receipt = Receipt::Make(tx->id, done->second.valid,
-                                       done->second.block_hash, key_);
+        reply->receipt =
+            Receipt::Make(tx->id, done->valid, done->block_hash, key_);
         network_.Send(node_, from, reply);
       }
       return;
@@ -795,8 +812,7 @@ void Organization::FinishCommit(sim::NodeId from,
   // A checkpoint install can cover a transaction while it is in the
   // validate/commit pipeline; committing it again would double-append the
   // block and double-count it. Serve the receipt from the adopted record.
-  if (const auto done = commit_index_.find(tx->id);
-      done != commit_index_.end()) {
+  if (const auto done = FindCommit(tx->id)) {
     std::vector<sim::NodeId> recipients;
     if (!from_gossip) recipients.push_back(from);
     if (const auto inflight = in_flight_.find(tx->id);
@@ -806,8 +822,8 @@ void Organization::FinishCommit(sim::NodeId from,
     }
     for (sim::NodeId recipient : recipients) {
       auto reply = std::make_shared<CommitReplyMsg>();
-      reply->receipt = Receipt::Make(tx->id, done->second.valid,
-                                     done->second.block_hash, key_);
+      reply->receipt =
+          Receipt::Make(tx->id, done->valid, done->block_hash, key_);
       network_.Send(node_, recipient, reply);
     }
     return;
@@ -820,7 +836,6 @@ void Organization::FinishCommit(sim::NodeId from,
   const ledger::Block& block =
       ledger_.Commit(tx->id, valid, valid ? tx->ops : kNoOps);
   commit_index_[tx->id] = CommitRecord{valid, block.hash};
-  NoteIndexed(tx->id, valid);
   if (!valid) ++rejected_;
 
   phase_stats_.commit_count++;
@@ -969,7 +984,7 @@ void Organization::CheckpointTick() {
     const sim::SimTime service =
         timing_.checkpoint.seal_base +
         timing_.checkpoint.seal_per_tx *
-            static_cast<sim::SimTime>(commit_index_.size());
+            static_cast<sim::SimTime>(commit_index_size());
     cache_lock_.Submit(service, [this] {
       if (!running_) return;
       seal_in_flight_ = false;
@@ -989,25 +1004,29 @@ void Organization::SealCheckpoint() {
   ckpt->chain_head = ledger_.log().LastHash();
   ckpt->valid_count = committed_count_;
   ckpt->valid_xor = committed_xor_;
-  // The previous seal covered the whole commit index as it stood then and
-  // every entry since is in the delta, so merging the sorted delta into it
+  // The previous seal covers the commit index as it stood then and the
+  // window holds every entry since, so merging the sorted window into it
   // yields the index sorted by id (canonical for the digest) without
   // re-sorting the history. A first seal merges into nothing.
-  std::sort(index_delta_.begin(), index_delta_.end(), CoveredBefore);
+  std::vector<Checkpoint::CoveredTx> window;
+  window.reserve(commit_index_.size());
+  for (const auto& [id, record] : commit_index_) {
+    window.push_back(Checkpoint::CoveredTx{id, record.valid});
+  }
+  std::sort(window.begin(), window.end(), CoveredBefore);
   const auto& before = sealed_ckpt_ ? sealed_ckpt_->covered : kNoCovered;
-  ckpt->covered.reserve(before.size() + index_delta_.size());
-  std::merge(before.begin(), before.end(), index_delta_.begin(),
-             index_delta_.end(), std::back_inserter(ckpt->covered),
-             CoveredBefore);
-  index_delta_.clear();
-  index_delta_.shrink_to_fit();  // a burst of adoptions must not pin memory
+  ckpt->covered.reserve(before.size() + window.size());
+  std::merge(before.begin(), before.end(), window.begin(), window.end(),
+             std::back_inserter(ckpt->covered), CoveredBefore);
   ckpt->objects = ledger_.cache().SnapshotStates();
   ckpt->Seal(key_);
-
-  codec::Writer encoded;
-  ckpt->Encode(encoded);
-  ledger_.PutCheckpointBlob("sealed", BytesView(encoded.data()));
-  sealed_ckpt_ = ckpt;
+  // Encoded once, here, before the checkpoint leaves this lane: the ledger
+  // and every installer persist these bytes by reference.
+  ckpt->encoding = EncodingOf(*ckpt);
+  ledger_.PutCheckpointBlob("sealed", ckpt->encoding);
+  // The new seal covers the whole window: the window starts over empty.
+  SetSealed(ckpt);
+  commit_index_.clear();
   commits_at_last_seal_ = committed_count_;
   ++catchup_stats_.ckpt_sealed;
 
@@ -1038,10 +1057,20 @@ void Organization::SealCheckpoint() {
   if (timing_.checkpoint.prune) PruneBehind(ckpt);
 }
 
-void Organization::NoteIndexed(const crypto::Digest& id, bool valid) {
-  if (timing_.checkpoint.enabled) {
-    index_delta_.push_back(Checkpoint::CoveredTx{id, valid});
+std::optional<Organization::CommitRecord> Organization::FindCommit(
+    const crypto::Digest& id) const {
+  if (const auto it = commit_index_.find(id); it != commit_index_.end()) {
+    return it->second;
   }
+  if (const Checkpoint::CoveredTx* covered = covered_.Find(id)) {
+    return CommitRecord{covered->valid, crypto::Digest{}};
+  }
+  return std::nullopt;
+}
+
+void Organization::SetSealed(std::shared_ptr<const Checkpoint> ckpt) {
+  sealed_ckpt_ = std::move(ckpt);
+  covered_.Build(sealed_ckpt_ ? &sealed_ckpt_->covered : nullptr);
 }
 
 void Organization::PruneBehind(std::shared_ptr<const Checkpoint> ckpt) {
@@ -1069,19 +1098,14 @@ void Organization::PruneBehind(std::shared_ptr<const Checkpoint> ckpt) {
 }
 
 std::size_t Organization::AdoptCheckpointCoverage(const Checkpoint& ckpt) {
-  // The own last seal is a subset of the commit index, so an id equal to
-  // one of its entries is skipped without probing the index. A skip needs
-  // exact equality: unsorted or duplicated input only costs more probes.
-  const auto& own = sealed_ckpt_ ? sealed_ckpt_->covered : kNoCovered;
-  auto next = own.begin();
+  // Ids the own last seal covers are already indexed there; the rest go
+  // into the window unless it holds them. Any order and duplicates are fine.
   std::size_t adopted_valid = 0;
   for (const Checkpoint::CoveredTx& covered : ckpt.covered) {
-    while (next != own.end() && CoveredBefore(*next, covered)) ++next;
-    if (next != own.end() && next->id == covered.id) continue;
+    if (covered_.Find(covered.id) != nullptr) continue;
     const auto [it, inserted] = commit_index_.emplace(
         covered.id, CommitRecord{covered.valid, crypto::Digest{}});
     if (!inserted) continue;
-    NoteIndexed(covered.id, covered.valid);
     ++catchup_stats_.ckpt_txs_covered;
     pending_pulls_.erase(covered.id);
     if (covered.valid) {
@@ -1132,14 +1156,9 @@ void Organization::InstallCheckpoint(std::shared_ptr<const Checkpoint> ckpt,
   if (better) {
     installed_ckpt_ = ckpt;
     installed_set_ = std::move(attestations);
-    codec::Writer encoded;
-    ckpt->Encode(encoded);
-    ledger_.PutCheckpointBlob("installed", BytesView(encoded.data()));
+    ledger_.PutCheckpointBlob("installed", EncodingOf(*ckpt));
     if (timing_.checkpoint.attest) {
-      codec::Writer set_encoded;
-      installed_set_.Encode(set_encoded);
-      ledger_.PutCheckpointBlob("installed_attest",
-                                BytesView(set_encoded.data()));
+      ledger_.PutCheckpointBlob("installed_attest", EncodingOf(installed_set_));
     }
   }
   if (obs::Tracer* t = simulation_.tracer()) {
@@ -1252,10 +1271,8 @@ bool Organization::CanAttest(const Checkpoint& ckpt) const {
   // differently — is something we cannot vouch for, so we refuse rather
   // than endorse an unverifiable claim.
   for (const Checkpoint::CoveredTx& tx : ckpt.covered) {
-    const auto it = commit_index_.find(tx.id);
-    if (it == commit_index_.end() || it->second.valid != tx.valid) {
-      return false;
-    }
+    const auto record = FindCommit(tx.id);
+    if (!record || record->valid != tx.valid) return false;
   }
   // State dominance: merging the checkpoint's copy of each object into ours
   // must change nothing, i.e. the snapshot claims no operation we have not
@@ -1286,12 +1303,8 @@ void Organization::PromoteAttestedCheckpoint() {
     stale_ckpt_ = attested_ckpt_;
     stale_set_ = attested_set_;
   }
-  codec::Writer ckpt_encoded;
-  attested_ckpt_->Encode(ckpt_encoded);
-  ledger_.PutCheckpointBlob("attested", BytesView(ckpt_encoded.data()));
-  codec::Writer set_encoded;
-  attested_set_.Encode(set_encoded);
-  ledger_.PutCheckpointBlob("attested_attest", BytesView(set_encoded.data()));
+  ledger_.PutCheckpointBlob("attested", EncodingOf(*attested_ckpt_));
+  ledger_.PutCheckpointBlob("attested_attest", EncodingOf(attested_set_));
 
   // The covered prefix now has quorum-backed snapshot transport: drop it
   // from the delta buffer and reclaim the storage behind the frontier (what

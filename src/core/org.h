@@ -6,6 +6,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -273,8 +274,13 @@ class Organization {
   const OrgPhaseStats& phase_stats() const { return phase_stats_; }
   const CatchupStats& catchup_stats() const { return catchup_stats_; }
   /// Transactions in the commit index (every id this org committed or
-  /// adopted from a checkpoint).
-  std::size_t commit_index_size() const { return commit_index_.size(); }
+  /// adopted from a checkpoint): the window plus the own seal's coverage.
+  std::size_t commit_index_size() const {
+    return commit_index_.size() + covered_.size();
+  }
+  /// Commit-index entries held in the id map above the own last seal (the
+  /// whole index when checkpoints are off; empty right after a seal).
+  std::size_t commit_window_size() const { return commit_index_.size(); }
   /// Latest checkpoint this organization sealed (null before the first).
   const std::shared_ptr<const Checkpoint>& sealed_checkpoint() const {
     return sealed_ckpt_;
@@ -384,8 +390,6 @@ class Organization {
   /// Digest of the best checkpoint already held (zero when none) — what a
   /// SyncRequest advertises so the responder can skip re-shipping it.
   crypto::Digest BestCheckpointDigest() const;
-  /// Appends a new commit-index entry to the seal delta (checkpoints on).
-  void NoteIndexed(const crypto::Digest& id, bool valid);
   /// Reclaims storage behind an own checkpoint (at seal, or at promotion
   /// with attestation) and makes it the new pruned frontier.
   void PruneBehind(std::shared_ptr<const Checkpoint> ckpt);
@@ -445,13 +449,24 @@ class Organization {
   std::uint64_t committed_xor_ = 0;
 
   // Commit index: verdict + block hash per transaction id, for dedup and
-  // receipt re-sends.
+  // receipt re-sends. It is split at the own last seal. The id map holds
+  // only the window indexed since that seal; the seal's sorted covered list
+  // holds the rest, behind an O(1)-expected radix lookup. The two are
+  // disjoint, a seal merges the window into its covered list and empties
+  // the map, and without checkpoints the window is the whole index.
   struct CommitRecord {
     bool valid = false;
     crypto::Digest block_hash;
   };
   std::unordered_map<crypto::Digest, CommitRecord, crypto::DigestHash>
       commit_index_;
+  CoveredLookup covered_;
+  /// The commit-index entry for `id`: the window first, then the own seal's
+  /// coverage. Covered blocks are pruned, so their receipts carry the zero
+  /// block hash, as adopted coverage always has.
+  std::optional<CommitRecord> FindCommit(const crypto::Digest& id) const;
+  /// Makes `ckpt` (an own seal, or null) the coverage half of the index.
+  void SetSealed(std::shared_ptr<const Checkpoint> ckpt);
   // Transactions currently in the validate/commit pipeline; extra client
   // senders arriving meanwhile get their receipt on completion.
   std::unordered_map<crypto::Digest, std::vector<sim::NodeId>,
@@ -472,20 +487,15 @@ class Organization {
   // Checkpoint state. `sealed_ckpt_` is this organization's own latest seal:
   // the only checkpoint whose chain fields may seed the chain base, the only
   // frontier pruning is allowed behind, and the one sync replies ship (its
-  // delta is exactly `committed_txs_`, cleared at each seal).
+  // delta is exactly `committed_txs_`, cleared at each seal). Its covered
+  // list is also the coverage half of the commit index, so it is replaced
+  // only through SetSealed(), which re-points `covered_`.
   // `installed_ckpt_` is the best external checkpoint merged in — state and
   // coverage only, never a chain base (its chain belongs to its origin).
   std::shared_ptr<const Checkpoint> sealed_ckpt_;
   std::shared_ptr<const Checkpoint> installed_ckpt_;
   std::uint64_t ckpt_seq_ = 0;
   std::uint64_t commits_at_last_seal_ = 0;
-  // Commit-index entries added since the last seal, kept only with
-  // checkpoints enabled. The previous seal covered the whole index as it
-  // stood then, so the next covered list is that list merged with this
-  // delta, sorted: O(delta log delta + history) memory traffic instead of
-  // a sort of the whole index. Recovery re-derives it as the index minus
-  // the restored seal's coverage.
-  std::vector<Checkpoint::CoveredTx> index_delta_;
   // The own checkpoint storage was last pruned behind (null before the
   // first prune). Bodies of the ids it covers are already gone.
   std::shared_ptr<const Checkpoint> pruned_ckpt_;

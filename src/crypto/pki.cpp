@@ -139,23 +139,24 @@ std::size_t Pki::CountValidDistinct(
     std::string_view context, const Digest& digest,
     const std::vector<std::pair<KeyId, Signature>>& signatures,
     const std::set<KeyId>& allowed) const {
-  // Batch path: the allowed/duplicate filters don't depend on verification
-  // outcomes, so pre-filter, verify the survivors in one multi-buffer pass,
-  // and count. Counted set and result match the scalar loop exactly.
+  // Batch path: verify every allowed entry in one multi-buffer pass, then
+  // count each signer with at least one valid entry. Deduplicating signers
+  // before verifying would let a forged first entry hide a valid later one;
+  // this counts exactly what the scalar loop below counts.
   if (signatures.size() >= 2) {
-    std::set<KeyId> seen;
     std::vector<BatchItem> items;
     items.reserve(signatures.size());
     for (const auto& [signer, signature] : signatures) {
       if (!allowed.contains(signer)) continue;
-      if (!seen.insert(signer).second) continue;
       items.push_back(BatchItem{signer, context, digest.View(), signature});
     }
     std::unique_ptr<bool[]> valid(new bool[items.size()]());
     VerifyBatch(items.data(), items.size(), valid.get());
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < items.size(); ++i) count += valid[i] ? 1 : 0;
-    return count;
+    std::set<KeyId> counted;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (valid[i]) counted.insert(items[i].signer);
+    }
+    return counted.size();
   }
   std::set<KeyId> counted;
   for (const auto& [signer, signature] : signatures) {

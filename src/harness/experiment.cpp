@@ -324,6 +324,7 @@ class OrderlessDriver final : public Driver {
       const core::Organization& org = net.org(i);
       s.crdt_entries += org.ledger().cache().StateEntries();
       s.commit_index_entries += org.commit_index_size();
+      s.commit_window_entries += org.commit_window_size();
     }
     return s;
   }

@@ -133,6 +133,8 @@ void StateStats::FillRegistry(obs::MetricsRegistry& registry) const {
   registry.gauge("state.crdt_entries").Set(static_cast<double>(crdt_entries));
   registry.gauge("state.commit_index_entries")
       .Set(static_cast<double>(commit_index_entries));
+  registry.gauge("state.commit_window_entries")
+      .Set(static_cast<double>(commit_window_entries));
 }
 
 void ExperimentMetrics::FillRegistry(obs::MetricsRegistry& registry) const {

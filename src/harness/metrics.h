@@ -109,8 +109,11 @@ struct RobustnessStats {
 struct StateStats {
   std::uint64_t crdt_entries = 0;          // Σ root OpCount() of every object
   std::uint64_t commit_index_entries = 0;  // Σ commit-index entries
+  // Σ entries in the commit index's id map: the window above each org's own
+  // last seal (the whole index when checkpoints are off).
+  std::uint64_t commit_window_entries = 0;
 
-  /// Exports both as "state.*" gauges.
+  /// Exports each as a "state.*" gauge.
   void FillRegistry(obs::MetricsRegistry& registry) const;
 };
 

@@ -24,10 +24,11 @@ class KvStore {
   virtual Status Delete(std::string_view key) = 0;
   virtual std::optional<Bytes> Get(std::string_view key) const = 0;
 
-  /// Put for values the caller already owns in a refcounted buffer (a
-  /// committed transaction's sealed canonical encoding). In-memory stores
-  /// adopt the reference instead of copying the bytes; the default copies,
-  /// so durable stores keep serializing as usual. `value` must be non-null.
+  /// Put for values the caller already owns in a refcounted buffer (the
+  /// canonical encoding of a committed transaction or of a sealed
+  /// checkpoint). In-memory stores adopt the reference instead of copying
+  /// the bytes; the default copies, so durable stores keep serializing as
+  /// usual. `value` must be non-null.
   virtual Status PutRef(std::string_view key,
                         std::shared_ptr<const Bytes> value) {
     return Put(key, BytesView(*value));

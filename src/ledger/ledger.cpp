@@ -186,8 +186,9 @@ bool Ledger::RecoverFromStore(const RecoveryBase& base) {
   return consistent;
 }
 
-void Ledger::PutCheckpointBlob(std::string_view slot, BytesView encoded) {
-  store_->Put(std::string("ckpt/") + std::string(slot), encoded);
+void Ledger::PutCheckpointBlob(std::string_view slot,
+                               std::shared_ptr<const Bytes> encoded) {
+  store_->PutRef(std::string("ckpt/") + std::string(slot), std::move(encoded));
 }
 
 std::optional<Bytes> Ledger::GetCheckpointBlob(std::string_view slot) const {

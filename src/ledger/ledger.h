@@ -95,8 +95,11 @@ class Ledger {
 
   /// Durable checkpoint slots ("ckpt/<slot>"), outside every scan prefix the
   /// recovery paths use. The ledger stores the blob verbatim; en/decoding is
-  /// the caller's (core::Checkpoint's) business.
-  void PutCheckpointBlob(std::string_view slot, BytesView encoded);
+  /// the caller's (core::Checkpoint's) business. In-memory stores keep the
+  /// refcounted buffer itself, so a checkpoint persisted by several
+  /// organizations (its sealer and every installer) is held once.
+  void PutCheckpointBlob(std::string_view slot,
+                         std::shared_ptr<const Bytes> encoded);
   std::optional<Bytes> GetCheckpointBlob(std::string_view slot) const;
 
   /// Storage reclamation behind a sealed checkpoint frontier: deletes commit

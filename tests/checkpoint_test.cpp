@@ -41,13 +41,29 @@ class OrganizationTestPeer {
                       std::shared_ptr<const Checkpoint> ckpt) {
     org.InstallCheckpoint(std::move(ckpt), AttestationSet{});
   }
-  /// The commit index, in no particular order.
+  /// The commit index, in no particular order: the window above the own
+  /// last seal followed by that seal's coverage.
   static std::vector<Checkpoint::CoveredTx> Index(const Organization& org) {
     std::vector<Checkpoint::CoveredTx> index;
     for (const auto& [id, record] : org.commit_index_) {
       index.push_back(Checkpoint::CoveredTx{id, record.valid});
     }
+    if (org.sealed_ckpt_ != nullptr) {
+      index.insert(index.end(), org.sealed_ckpt_->covered.begin(),
+                   org.sealed_ckpt_->covered.end());
+    }
     return index;
+  }
+  /// Entries in the id map (the window above the own last seal).
+  static std::size_t WindowSize(const Organization& org) {
+    return org.commit_index_.size();
+  }
+  /// The verdict and block hash the org answers a dedup or receipt with.
+  static std::optional<std::pair<bool, crypto::Digest>> Lookup(
+      const Organization& org, const crypto::Digest& id) {
+    const auto record = org.FindCommit(id);
+    if (!record) return std::nullopt;
+    return std::pair{record->valid, record->block_hash};
   }
   /// (valid count, valid xor) accumulators the summaries advertise.
   static std::pair<std::uint64_t, std::uint64_t> Accumulators(
@@ -63,6 +79,10 @@ namespace {
 using core::Checkpoint;
 
 crypto::Digest D(const std::string& s) { return crypto::Sha256::Hash(s); }
+
+bool ById(const Checkpoint::CoveredTx& a, const Checkpoint::CoveredTx& b) {
+  return a.id.bytes < b.id.bytes;
+}
 
 crdt::Operation VoteOp(const std::string& object, const std::string& voter,
                        bool value, std::uint64_t client,
@@ -127,6 +147,46 @@ TEST(CheckpointCodec, EncodeDecodeRoundtrip) {
   EXPECT_EQ(decoded->digest, ckpt.digest);
   EXPECT_EQ(decoded->signature, ckpt.signature);
   EXPECT_TRUE(decoded->Verify(pki, {key.id()}));
+}
+
+TEST(CheckpointCodec, StreamedDigestAndExactSizeMatchTheEncoding) {
+  crypto::Pki pki;
+  const crypto::PrivateKey key = pki.Generate("org-0");
+  Checkpoint small = MakeSealed(key);
+  // Large enough that the digest stream spills its staging buffer many
+  // times and hands object states of several KB straight to SHA-256.
+  Checkpoint large = small;
+  Rng rng(5);
+  for (int i = 0; i < 5000; ++i) {
+    large.covered.push_back({D("cov-" + std::to_string(i)), i % 3 != 0});
+  }
+  std::sort(large.covered.begin(), large.covered.end(), ById);
+  large.objects.emplace_back("big", Bytes(9000, 0x5c));
+  large.objects.emplace_back(std::string(200, 'k'), Bytes(130, 0x01));
+  large.Seal(key);
+  for (const Checkpoint* ckpt : {&small, &large}) {
+    codec::Writer w;
+    ckpt->Encode(w);
+    EXPECT_EQ(ckpt->EncodedSize(), w.size());
+    // The digest covers exactly the bytes before the digest and signature.
+    const BytesView signed_fields(w.data().data(), w.size() - 64);
+    EXPECT_EQ(ckpt->ComputeDigest(), crypto::Sha256::Hash(signed_fields));
+    EXPECT_TRUE(ckpt->Verify(pki, {key.id()}));
+  }
+}
+
+TEST(CheckpointCodec, ResealDropsTheAttachedEncoding) {
+  crypto::Pki pki;
+  const crypto::PrivateKey key = pki.Generate("org-0");
+  Checkpoint ckpt = MakeSealed(key);
+  EXPECT_EQ(ckpt.encoding, nullptr);
+  codec::Writer w;
+  ckpt.Encode(w);
+  ckpt.encoding = std::make_shared<const Bytes>(w.data());
+  // Changed fields must be re-sealed, and the old bytes go with the seal.
+  ckpt.valid_count += 1;
+  ckpt.Seal(key);
+  EXPECT_EQ(ckpt.encoding, nullptr);
 }
 
 TEST(CheckpointCodec, TruncatedBytesDecodeToNull) {
@@ -754,10 +814,6 @@ std::int64_t CounterSum(const CounterState& c) {
   return sum;
 }
 
-bool ById(const Checkpoint::CoveredTx& a, const Checkpoint::CoveredTx& b) {
-  return a.id.bytes < b.id.bytes;
-}
-
 /// Body rows still stored for ids in `covered`.
 std::size_t CoveredBodyRows(ledger::KvStore& store,
                             const std::vector<Checkpoint::CoveredTx>& covered) {
@@ -829,6 +885,11 @@ void CheckSeal(core::Organization& org, bool attest) {
   rebuilt.valid_count = count;
   rebuilt.valid_xor = xr;
   EXPECT_EQ(rebuilt.ComputeDigest(), sealed->digest);
+  // The bytes the seal attached (and persisted) are the canonical encoding.
+  ASSERT_NE(sealed->encoding, nullptr);
+  codec::Writer fresh;
+  sealed->Encode(fresh);
+  EXPECT_EQ(*sealed->encoding, fresh.data());
   if (!attest) {
     EXPECT_EQ(org.catchup_stats().pruned_records - pruned_before,
               expected_pruned);
@@ -1096,6 +1157,274 @@ TEST(CheckpointIncremental, SealInstallPruneMatchWholeHistoryReference) {
       EXPECT_GE(seals, 4u);
       EXPECT_GE(installs, 3u);
       EXPECT_GT(adopted_total, 0u) << "installs must adopt something";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Windowed commit index. The id map holds only what an organization indexed
+// since its own last seal; that seal's sorted covered list, behind a radix
+// offset table, answers the rest.
+
+/// An id whose first eight bytes are `top` (big-endian) and whose last byte
+/// is `tail`.
+crypto::Digest IdWithTop(std::uint64_t top, std::uint8_t tail) {
+  crypto::Digest d;
+  for (int i = 0; i < 8; ++i) {
+    d.bytes[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(top >> (56 - 8 * i));
+  }
+  d.bytes[31] = tail;
+  return d;
+}
+
+/// Sorts `covered`, drops repeated ids, indexes it and checks Find() against
+/// a binary search for every probe and every listed id.
+void ExpectLookupMatchesSearch(std::vector<Checkpoint::CoveredTx> covered,
+                               const std::vector<crypto::Digest>& probes) {
+  std::sort(covered.begin(), covered.end(), ById);
+  covered.erase(std::unique(covered.begin(), covered.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.id == b.id;
+                            }),
+                covered.end());
+  core::CoveredLookup lookup;
+  lookup.Build(&covered);
+  ASSERT_EQ(lookup.size(), covered.size());
+  const auto check = [&](const crypto::Digest& id) {
+    const Checkpoint::CoveredTx key{id, false};
+    const auto it = std::lower_bound(covered.begin(), covered.end(), key, ById);
+    const Checkpoint::CoveredTx* expected =
+        it != covered.end() && it->id == id ? &*it : nullptr;
+    ASSERT_EQ(lookup.Find(id), expected)
+        << id.Hex() << " in a list of " << covered.size();
+  };
+  for (const auto& tx : covered) check(tx.id);
+  for (const auto& id : probes) check(id);
+}
+
+TEST(CoveredLookup, RadixBucketEdgeCases) {
+  core::CoveredLookup lookup;
+  EXPECT_EQ(lookup.Find(D("x")), nullptr);  // never built
+  lookup.Build(nullptr);
+  EXPECT_EQ(lookup.size(), 0u);
+  EXPECT_EQ(lookup.Find(D("x")), nullptr);
+  const std::vector<Checkpoint::CoveredTx> empty;
+  lookup.Build(&empty);
+  EXPECT_EQ(lookup.Find(crypto::Digest{}), nullptr);
+
+  crypto::Digest lowest;  // all zero: first bucket, first slot
+  crypto::Digest highest;
+  highest.bytes.fill(0xff);  // last bucket, last slot
+  crypto::Digest next_to_lowest = lowest;
+  next_to_lowest.bytes[31] = 1;
+  crypto::Digest next_to_highest = highest;
+  next_to_highest.bytes[31] = 0xfe;
+  // Sizes around every bucket-count step, up to 256 buckets.
+  for (const std::size_t n : {0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 100, 1024,
+                              1500}) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    std::vector<Checkpoint::CoveredTx> covered;
+    std::vector<crypto::Digest> probes = {lowest, highest, next_to_lowest,
+                                          next_to_highest};
+    for (std::size_t i = 0; i < n; ++i) {
+      covered.push_back({D("in-" + std::to_string(i)), i % 2 == 0});
+      probes.push_back(D("out-" + std::to_string(i)));
+    }
+    ExpectLookupMatchesSearch(covered, probes);
+    covered.push_back({lowest, true});
+    covered.push_back({highest, false});
+    ExpectLookupMatchesSearch(covered, probes);
+  }
+  // Equal top bits: ids sharing their first eight bytes all fall into one
+  // bucket, so Find must scan past them by full id; absent ids between them
+  // must miss.
+  {
+    std::vector<Checkpoint::CoveredTx> covered;
+    std::vector<crypto::Digest> probes;
+    for (int k = 0; k < 64; ++k) {
+      covered.push_back({IdWithTop(0x8000000000000000ULL, 2 * k), k % 3 == 0});
+      probes.push_back(IdWithTop(0x8000000000000000ULL, 2 * k + 1));
+      covered.push_back({D("spread-" + std::to_string(k)), true});
+    }
+    ExpectLookupMatchesSearch(covered, probes);
+  }
+  // Empty buckets: every id sits in the top sixteenth of the key space, so
+  // most buckets are empty and probes below it must land in them and miss.
+  {
+    std::vector<Checkpoint::CoveredTx> covered;
+    std::vector<crypto::Digest> probes;
+    Rng rng(17);
+    for (int k = 0; k < 512; ++k) {
+      covered.push_back(
+          {IdWithTop(0xf000000000000000ULL | (rng.Next() >> 4), 0), true});
+      probes.push_back(IdWithTop(rng.Next() >> 1, 0));
+      probes.push_back(IdWithTop(0xf000000000000000ULL | (rng.Next() >> 4), 1));
+    }
+    ExpectLookupMatchesSearch(covered, probes);
+  }
+}
+
+/// Folds `org`'s current index into `history` (a verdict never changes) and
+/// checks the windowed index against it: window and coverage are disjoint,
+/// nothing indexed earlier is lost, commit_index_size() counts each id once,
+/// every id answers its verdict, covered ids answer the zero block hash, and
+/// ids never indexed miss.
+void CheckWindowedIndex(const core::Organization& org,
+                        std::map<std::array<std::uint8_t, 32>, bool>& history,
+                        const std::map<std::array<std::uint8_t, 32>, bool>&
+                            local_commits) {
+  const auto index = OrganizationTestPeer::Index(org);
+  std::set<std::array<std::uint8_t, 32>> distinct;
+  for (const auto& tx : index) {
+    distinct.insert(tx.id.bytes);
+    const auto [it, inserted] = history.emplace(tx.id.bytes, tx.valid);
+    ASSERT_EQ(it->second, tx.valid) << "verdict changed for " << tx.id.Hex();
+  }
+  ASSERT_EQ(distinct.size(), index.size()) << "window and coverage overlap";
+  ASSERT_EQ(org.commit_index_size(), history.size());
+  for (const auto& [bytes, valid] : history) {
+    crypto::Digest id;
+    id.bytes = bytes;
+    const auto found = OrganizationTestPeer::Lookup(org, id);
+    ASSERT_TRUE(found.has_value()) << "lost " << id.Hex();
+    ASSERT_EQ(found->first, valid) << id.Hex();
+  }
+  for (const auto& [bytes, valid] : local_commits) {
+    const auto it = history.find(bytes);
+    ASSERT_NE(it, history.end()) << "a local commit is not indexed";
+    ASSERT_EQ(it->second, valid);
+  }
+  if (const auto& sealed = org.sealed_checkpoint()) {
+    for (const auto& tx : sealed->covered) {
+      ASSERT_EQ(OrganizationTestPeer::Lookup(org, tx.id)->second,
+                crypto::Digest{});
+    }
+  }
+  for (int k = 0; k < 8; ++k) {
+    ASSERT_FALSE(OrganizationTestPeer::Lookup(org, D("never-" +
+                                                     std::to_string(k))))
+        << k;
+  }
+}
+
+TEST(CommitWindow, LookupsMatchWholeHistoryMap) {
+  using IdMap = std::map<std::array<std::uint8_t, 32>, bool>;
+  for (const bool attest : {false, true}) {
+    for (const std::uint64_t seed : {21ULL, 22ULL, 23ULL}) {
+      SCOPED_TRACE(testing::Message() << "attest=" << attest
+                                      << " seed=" << seed);
+      harness::OrderlessNetConfig config;
+      config.num_orgs = 5;
+      config.num_clients = 4;
+      config.policy = core::EndorsementPolicy{2, 5};
+      config.net.one_way_latency = sim::Ms(5);
+      config.net.jitter_stddev_ms = 0.2;
+      config.org_timing.gossip_interval = sim::Ms(200);
+      config.org_timing.gossip_fanout = 1;
+      config.org_timing.gossip_rounds = 2;
+      config.org_timing.antientropy_interval = sim::Ms(500);
+      config.org_timing.checkpoint.enabled = true;
+      config.org_timing.checkpoint.attest = attest;
+      config.org_timing.checkpoint.interval = sim::Ms(600);
+      config.client_timing.max_attempts = 4;
+      config.client_timing.endorse_timeout = sim::Ms(700);
+      config.client_timing.commit_timeout = sim::Ms(700);
+      config.seed = seed;
+      harness::OrderlessNet net(config);
+      net.RegisterContract(std::make_shared<contracts::SyntheticContract>());
+      net.Start();
+
+      // history[i]: every id org i ever indexed, with its verdict. A restart
+      // may drop coverage adopted from an install that was never persisted,
+      // so it restarts from the recovered index; local commits never drop.
+      std::vector<IdMap> history(net.org_count());
+      std::vector<IdMap> local(net.org_count());
+      const auto observe = [&net, &local](std::size_t i) {
+        net.org(i).SetCommitObserver(
+            [&local, i](const core::Transaction& tx, core::TxVerdict v) {
+              local[i].emplace(tx.id.bytes, v == core::TxVerdict::kValid);
+            });
+      };
+      for (std::size_t i = 0; i < net.org_count(); ++i) observe(i);
+
+      Rng rng(seed);
+      const std::size_t crash_step = 10 + rng.NextBelow(20);
+      std::size_t seals = 0;
+      std::size_t installs = 0;
+      const auto running_org = [&net, &rng]() -> std::size_t {
+        for (;;) {
+          const std::size_t i = rng.NextBelow(net.org_count());
+          if (net.OrgRunning(i)) return i;
+        }
+      };
+      const auto run_for = [&net](sim::SimTime dt) {
+        net.simulation().RunUntil(net.simulation().now() + dt);
+      };
+      for (std::size_t step = 0; step < 50; ++step) {
+        switch (rng.NextBelow(5)) {
+          case 0:
+          case 1: {
+            const std::uint64_t txs = 1 + rng.NextBelow(12);
+            for (std::uint64_t t = 0; t < txs; ++t) {
+              net.client(rng.NextBelow(net.client_count()))
+                  .SubmitModify(
+                      "synthetic", "Modify",
+                      {crdt::Value(static_cast<std::int64_t>(
+                           1 + rng.NextBelow(2))),
+                       crdt::Value(std::int64_t{1}),
+                       crdt::Value(std::string(contracts::kTypeGCounter))},
+                      [](const core::TxOutcome&) {});
+            }
+            run_for(sim::Ms(100 + rng.NextBelow(400)));
+            break;
+          }
+          case 2: {
+            core::Organization& org = net.org(running_org());
+            OrganizationTestPeer::Seal(org);
+            ASSERT_EQ(OrganizationTestPeer::WindowSize(org), 0u)
+                << "a seal leaves the window empty";
+            ++seals;
+            break;
+          }
+          case 3: {
+            const std::size_t origin = rng.NextBelow(net.org_count());
+            const auto& ckpt = rng.NextBool(0.6)
+                                   ? net.org(origin).sealed_checkpoint()
+                                   : net.org(origin).installed_checkpoint();
+            if (ckpt != nullptr) {
+              OrganizationTestPeer::Install(net.org(running_org()), ckpt);
+              ++installs;
+            }
+            break;
+          }
+          default:
+            run_for(sim::Ms(300 + rng.NextBelow(900)));
+            break;
+        }
+        if (step == crash_step) {
+          const std::size_t victim = running_org();
+          net.CrashOrg(victim);
+          run_for(sim::Ms(300));
+          ASSERT_TRUE(net.RestartOrg(victim));
+          observe(victim);
+          history[victim].clear();
+        }
+        for (std::size_t i = 0; i < net.org_count(); ++i) {
+          if (!net.OrgRunning(i)) continue;
+          SCOPED_TRACE(testing::Message() << "org " << i << " step " << step);
+          CheckWindowedIndex(net.org(i), history[i], local[i]);
+          if (testing::Test::HasFatalFailure()) return;
+        }
+      }
+      EXPECT_GE(seals, 3u);
+      EXPECT_GE(installs, 3u);
+      std::size_t covered = 0;
+      for (std::size_t i = 0; i < net.org_count(); ++i) {
+        covered += net.org(i).commit_index_size() -
+                   OrganizationTestPeer::WindowSize(net.org(i));
+      }
+      EXPECT_GT(covered, 0u) << "some lookups must be answered by coverage";
     }
   }
 }

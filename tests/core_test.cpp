@@ -351,8 +351,14 @@ TEST_F(TxFixture, CountValidDistinctMatchesScalarReference) {
           {sign(outsider), sign(org_keys_[1]), sign(org_keys_[3])},
           {forged, sign(outsider), unknown, sign(org_keys_[3]),
            sign(org_keys_[3]), sign(org_keys_[1])},
+          // A forged entry must not hide a later valid one by the same
+          // signer (the batch path once deduplicated before verifying).
+          {forged, sign(org_keys_[2])},
+          {forged, forged, sign(org_keys_[2]), sign(org_keys_[2])},
+          {forged},
+          {sign(org_keys_[2])},
       };
-  const std::size_t expected[] = {0, 1, 3, 2, 2, 1, 1, 2, 2};
+  const std::size_t expected[] = {0, 1, 3, 2, 2, 1, 1, 2, 2, 1, 1, 0, 1};
   for (std::size_t i = 0; i < sets.size(); ++i) {
     EXPECT_EQ(reference(sets[i]), expected[i]) << "set " << i;
     EXPECT_EQ(pki_.CountValidDistinct(kContext, digest, sets[i], org_key_ids_),

@@ -123,14 +123,29 @@ struct FlatBench {
   std::map<std::string, std::map<std::string, double>> points;
 };
 
+/// Numeric fields that name a sweep row (its thread count, size, load or
+/// cluster shape). They join the point key, so a sweep that drops or adds a
+/// row names that row instead of shifting every later one.
+bool IsSweepField(const std::string& k) {
+  return k == "threads" || k == "tx_count" || k == "rate" || k == "orgs" ||
+         k == "q";
+}
+
+/// A point's identity: its name, its string fields and its sweep fields.
 std::string PointKey(const json::JsonValue& point) {
   std::string key;
   if (const json::JsonValue* name = point.Find("name")) {
     if (name->type == json::JsonValue::Type::kString) key = name->string;
   }
   for (const auto& [k, v] : point.object) {
-    if (k == "name" || v.type != json::JsonValue::Type::kString) continue;
-    key += "|" + k + "=" + v.string;
+    if (k == "name") continue;
+    if (v.type == json::JsonValue::Type::kString) {
+      key += "|" + k + "=" + v.string;
+    } else if (v.type == json::JsonValue::Type::kNumber && IsSweepField(k)) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.17g", v.number);
+      key += "|" + k + "=" + buf;
+    }
   }
   return key.empty() ? "<unnamed>" : key;
 }
@@ -154,9 +169,9 @@ bool Flatten(const json::JsonValue& doc, const std::string& label,
   if (points == nullptr || points->type != json::JsonValue::Type::kArray) {
     return true;  // scalar-only documents are fine
   }
-  // Sweeps emit several rows under one identity (e.g. one row per thread
-  // count, which is numeric); the n-th repeat is keyed "#n" so each row is
-  // compared with the same row of the baseline instead of overwriting it.
+  // Rows that still share one identity (true duplicates) are keyed "#n" for
+  // the n-th repeat, so each is compared with the same row of the baseline
+  // instead of overwriting it.
   std::map<std::string, int> repeats;
   for (const json::JsonValue& point : points->array) {
     if (point.type != json::JsonValue::Type::kObject) continue;
@@ -432,8 +447,50 @@ int SelfTest() {
   Verdict sweep;
   Compare(sweep_b, sweep_c, sweep);
   for (const std::string& line : sweep.lines) std::printf("%s\n", line.c_str());
-  expect(sweep.regressions == 1 && logged_in(sweep, "FAIL", "run / committed"),
-         "a changed count in a repeated sweep row must be caught");
+  expect(sweep.regressions == 1 &&
+             logged_in(sweep, "FAIL", "run|threads=1 / committed"),
+         "a changed count in a sweep row must be caught and named");
+
+  // Dropping a middle sweep row names that row as missing; the rows after it
+  // still compare with their own baselines (the threads=8 count change is
+  // caught, the unchanged threads=4 row is not flagged). True duplicates
+  // keep their "#n" numbering.
+  const char* gap_base = R"({"bench": "sweep", "points": [
+    {"name": "run", "threads": 1, "committed": 600},
+    {"name": "run", "threads": 2, "committed": 601},
+    {"name": "run", "threads": 4, "committed": 602},
+    {"name": "run", "threads": 8, "committed": 603},
+    {"name": "dup", "committed": 7},
+    {"name": "dup", "committed": 8}]})";
+  const char* gap_cur = R"({"bench": "sweep", "points": [
+    {"name": "run", "threads": 1, "committed": 600},
+    {"name": "run", "threads": 4, "committed": 602},
+    {"name": "run", "threads": 8, "committed": 604},
+    {"name": "dup", "committed": 7},
+    {"name": "dup", "committed": 9}]})";
+  json::JsonValue gap_base_doc;
+  json::JsonValue gap_cur_doc;
+  FlatBench gap_b;
+  FlatBench gap_c;
+  if (!json::ParseDocument(gap_base, "selftest-gap-base", gap_base_doc) ||
+      !json::ParseDocument(gap_cur, "selftest-gap-cur", gap_cur_doc) ||
+      !Flatten(gap_base_doc, "selftest-gap-base", gap_b) ||
+      !Flatten(gap_cur_doc, "selftest-gap-cur", gap_c)) {
+    return 1;
+  }
+  Verdict gap;
+  Compare(gap_b, gap_c, gap);
+  for (const std::string& line : gap.lines) std::printf("%s\n", line.c_str());
+  expect(gap.missing_gated == 1 &&
+             logged_in(gap, "FAIL", "run|threads=2 / committed: gated field"),
+         "a dropped sweep row must be named as missing");
+  expect(logged_in(gap, "FAIL", "run|threads=8 / committed: 603 -> 604"),
+         "a later sweep row must compare with its own baseline");
+  expect(!logged_in(gap, "FAIL", "run|threads=4"),
+         "an unchanged later sweep row must not be flagged");
+  expect(logged_in(gap, "FAIL", "dup#1 / committed: 8 -> 9"),
+         "true duplicates keep their #n numbering");
+  expect(gap.regressions == 3, "expected exactly 3 sweep regressions");
   std::printf("self-test %s\n", failures == 0 ? "passed" : "FAILED");
   return failures == 0 ? 0 : 1;
 }
